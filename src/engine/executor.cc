@@ -85,27 +85,32 @@ query_executor::~query_executor() {
   watchdog_.join();
 }
 
+bool query_executor::cacheable(const query_request& req) const {
+  if (cache_.capacity() == 0 || req.trace != nullptr) return false;
+  switch (req.kind) {
+    case query_kind::bfs_distance:
+    case query_kind::sssp_distance:
+    case query_kind::pagerank_topk:
+    case query_kind::triangle_count:
+      return true;
+    case query_kind::component_id:  // one index into a derived view
+    case query_kind::coreness:
+    case query_kind::update:  // a write, never a cached answer
+    case query_kind::custom:
+      return false;
+  }
+  return false;
+}
+
 cache_key query_executor::make_key(const query_request& req, uint64_t epoch) {
   cache_key key;
   key.epoch = epoch;
   key.kind = req.kind;
-  switch (req.kind) {
-    case query_kind::bfs_distance:
-    case query_kind::sssp_distance:
-      key.a = req.source;
-      key.b = req.target;
-      break;
-    case query_kind::pagerank_topk:
-      key.b = req.k;
-      break;
-    case query_kind::component_id:
-    case query_kind::coreness:
-      key.a = req.source;
-      break;
-    case query_kind::triangle_count:
-    case query_kind::update:  // never cacheable; no key parameters
-    case query_kind::custom:
-      break;
+  if (req.kind == query_kind::pagerank_topk) {
+    key.b = req.k;
+  } else if (req.kind != query_kind::triangle_count) {
+    key.a = req.source;
+    key.b = req.target;
   }
   return key;
 }
@@ -115,10 +120,9 @@ query_result query_executor::execute(const query_request& req,
                                      const cancel_token& token) {
   query_result r;
   r.kind = req.kind;
-  // Mutable entries answer BFS over the live base+delta view, and cc / top-k
-  // straight from the epoch's converged incremental state (O(1) / O(n)
-  // instead of a full traversal). Coreness and triangles fall through to
-  // structure(), which lazily materializes the merged CSR.
+  // cc, coreness and top-k read the entry's per-epoch derived views, built
+  // once per epoch on first touch. Only BFS depends on mutability: mutable
+  // entries traverse the live base+delta view instead of a CSR.
   switch (req.kind) {
     case query_kind::bfs_distance:
       if (e.is_mutable()) {
@@ -135,23 +139,16 @@ query_result query_executor::execute(const query_request& req,
       r.value = apps::sssp_distance(e.weights(), req.source, req.target, token);
       break;
     case query_kind::pagerank_topk:
-      if (e.is_mutable()) {
-        r.topk = apps::topk_ranks(e.inc()->pr_rank, req.k);
-      } else {
-        r.topk = apps::pagerank_topk(e.structure(), req.k, token);
-      }
+      r.topk = apps::topk_ranks(e.pagerank_view(token), req.k);
       r.value = static_cast<int64_t>(r.topk.size());
       break;
     case query_kind::component_id:
-      if (e.is_mutable()) {
-        check_vertex("component_id", req.source, e.num_vertices());
-        r.value = e.inc()->cc_labels[req.source];
-      } else {
-        r.value = apps::component_id(e.structure(), req.source, token);
-      }
+      check_vertex("component_id", req.source, e.num_vertices());
+      r.value = e.cc_view(token)[req.source];
       break;
     case query_kind::coreness:
-      r.value = apps::vertex_coreness(e.structure(), req.source, token);
+      check_vertex("vertex_coreness", req.source, e.num_vertices());
+      r.value = e.coreness_view(token)[req.source];
       break;
     case query_kind::triangle_count:
       r.value = static_cast<int64_t>(apps::count_triangles(e.structure(), token));
@@ -267,9 +264,7 @@ std::future<query_result> query_executor::submit(query_request req) {
   }
   j->epoch = j->handle->epoch();
 
-  j->cacheable = j->req.kind != query_kind::custom &&
-                 j->req.kind != query_kind::update && cache_.capacity() > 0 &&
-                 j->req.trace == nullptr;
+  j->cacheable = cacheable(j->req);
   if (j->cacheable) {
     j->key = make_key(j->req, j->handle->epoch());
     if (auto cached = cache_.get(j->key)) {
@@ -414,11 +409,9 @@ query_result query_executor::run(const query_request& req) {
     throw;
   }
   const uint64_t epoch = handle->epoch();
-  bool cacheable = req.kind != query_kind::custom &&
-                   req.kind != query_kind::update && cache_.capacity() > 0 &&
-                   req.trace == nullptr;
+  const bool use_cache = cacheable(req);
   cache_key key;
-  if (cacheable) {
+  if (use_cache) {
     key = make_key(req, epoch);
     if (auto cached = cache_.get(key)) {
       query_result r = *cached;
@@ -458,7 +451,7 @@ query_result query_executor::run(const query_request& req) {
     }
     r.micros = micros_since(t0);
     r.tid = tid;
-    if (cacheable) {
+    if (use_cache) {
       try {
         cache_.put(key, std::make_shared<query_result>(r));
       } catch (...) {

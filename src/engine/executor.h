@@ -249,11 +249,14 @@ class query_executor {
   // if none. Caller holds mutex_.
   std::deque<job_ptr>::iterator find_eligible_locked();
   // The query body proper; throws on bad requests. A member (not static)
-  // because the `update` kind routes through registry_.apply_updates;
-  // mutable entries additionally answer bfs/cc/pagerank from the live view
-  // and the epoch's converged incremental state.
+  // because the `update` kind routes through registry_.apply_updates.
+  // cc, coreness and top-k read the entry's derived views.
   query_result execute(const query_request& req, const graph_entry& e,
                        const cancel_token& token);
+  // Whether `req`'s answer goes through the result cache: pair-keyed
+  // traversals (bfs, sssp), top-k by k and triangle counts, never traced
+  // queries. Point reads of a derived view are cheaper than a probe.
+  bool cacheable(const query_request& req) const;
   static cache_key make_key(const query_request& req, uint64_t epoch);
 
   registry& registry_;

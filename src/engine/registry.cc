@@ -7,8 +7,12 @@
 #include <thread>
 #include <utility>
 
+#include "apps/components.h"
+#include "apps/kcore.h"
+#include "apps/pagerank.h"
 #include "graph/graph_io.h"
 #include "obs/log.h"
+#include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -54,7 +58,77 @@ std::chrono::milliseconds backoff_for(const retry_options& r, size_t attempt) {
   return std::chrono::milliseconds(ms - half + jitter);
 }
 
+// Round-boundary poll hook for a view build; empty for inactive tokens so
+// the apps skip the per-round branch.
+std::function<void()> poll_of(const cancel_token& token) {
+  if (!token.active()) return {};
+  return [token] { token.poll(); };
+}
+
+const char* view_kind_name(view_kind v) {
+  switch (v) {
+    case view_kind::cc:
+      return "cc";
+    case view_kind::coreness:
+      return "coreness";
+    case view_kind::pagerank:
+      return "pagerank";
+  }
+  return "unknown";
+}
+
 }  // namespace
+
+struct view_observer {
+  std::mutex mutex;
+  registry* owner = nullptr;  // guarded by mutex; cleared by ~registry
+};
+
+template <class T, class Build>
+const std::vector<T>& graph_entry::touch(derived_view<T>& view, view_kind kind,
+                                         const cancel_token& token,
+                                         Build&& build) const {
+  bool built = false;
+  const std::vector<T>& out = view.get(
+      token,
+      [&] {
+        obs::span_scope span("build_view");
+        return build(poll_of(token));
+      },
+      &built);
+  if (built && observer_ != nullptr) {
+    std::lock_guard<std::mutex> lock(observer_->mutex);
+    if (observer_->owner != nullptr) observer_->owner->note_view_built(kind);
+  }
+  return out;
+}
+
+const std::vector<vertex_id>& graph_entry::cc_view(
+    const cancel_token& token) const {
+  if (inc_) return inc_->cc_labels;
+  return touch(cc_, view_kind::cc, token, [this](const auto& poll) {
+    return apps::connected_components(structure(), {}, poll).labels;
+  });
+}
+
+const std::vector<vertex_id>& graph_entry::coreness_view(
+    const cancel_token& token) const {
+  return touch(coreness_, view_kind::coreness, token,
+               [this](const auto& poll) {
+                 return apps::kcore(structure(), poll).coreness;
+               });
+}
+
+const std::vector<double>& graph_entry::pagerank_view(
+    const cancel_token& token) const {
+  if (inc_) return inc_->pr_rank;
+  return touch(pagerank_, view_kind::pagerank, token,
+               [this](const auto& poll) {
+                 apps::pagerank_options opts;
+                 opts.poll = poll;
+                 return apps::pagerank(structure(), opts).rank;
+               });
+}
 
 registry::registry(obs::metrics_registry* metrics) : metrics_(metrics) {
   if (metrics_ != nullptr) {
@@ -71,7 +145,24 @@ registry::registry(obs::metrics_registry* metrics) : metrics_(metrics) {
     m_update_micros_ = &metrics_->get_histogram("engine_graph_update_micros");
     m_resident_ = &metrics_->get_gauge("engine_graphs_resident");
     m_memory_bytes_ = &metrics_->get_gauge("engine_graph_memory_bytes");
+    for (size_t v = 0; v < kNumViewKinds; v++)
+      m_view_builds_[v] = &metrics_->get_counter(
+          std::string("engine_view_builds_total{view=\"") +
+          view_kind_name(static_cast<view_kind>(v)) + "\"}");
+    view_observer_ = std::make_shared<view_observer>();
+    view_observer_->owner = this;
   }
+}
+
+registry::~registry() {
+  if (view_observer_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(view_observer_->mutex);
+  view_observer_->owner = nullptr;
+}
+
+void registry::note_view_built(view_kind v) {
+  m_view_builds_[static_cast<size_t>(v)]->inc();
+  publish_residency();
 }
 
 graph_handle registry::load(const std::string& name, const std::string& path,
@@ -365,6 +456,7 @@ graph_handle registry::apply_once(const std::string& name,
 
 graph_handle registry::insert(std::shared_ptr<graph_entry> e) {
   e->epoch_ = next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  e->observer_ = view_observer_;
   graph_handle h = std::move(e);
   {
     std::unique_lock lock(mutex_);

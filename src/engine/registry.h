@@ -10,7 +10,9 @@
 //
 // Every load gets a fresh monotonically-increasing epoch. The result cache
 // keys on (epoch, query, params), so reloading a name under new data
-// silently invalidates all cached answers for the old incarnation.
+// silently invalidates all cached answers for the old incarnation. Each
+// entry also carries lazily built derived views of its epoch (CC labels,
+// coreness, PageRank) that answer point queries and die with the entry.
 //
 // Weighted graphs keep both the weighted CSR (for SSSP) and an unweighted
 // structural view sharing the same shape (so BFS/PageRank/CC/k-core/triangle
@@ -20,6 +22,7 @@
 // will act on.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -34,6 +37,7 @@
 #include "dynamic/checkpoint.h"
 #include "dynamic/incremental.h"
 #include "dynamic/mutable_graph.h"
+#include "engine/derived_view.h"
 #include "engine/query.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
@@ -93,6 +97,15 @@ class update_error : public engine_error {
   size_t attempts;
 };
 
+// Link from entries back to the registry that published them, so a view
+// build can bump its counter and refresh the memory gauge (registry.cc).
+struct view_observer;
+
+// The derived views a graph_entry can hold (engine_view_builds_total's
+// `view` label).
+enum class view_kind : uint8_t { cc, coreness, pagerank };
+inline constexpr size_t kNumViewKinds = 3;
+
 // An immutable resident graph plus metadata. Handed out as
 // shared_ptr<const graph_entry>; whoever holds one keeps the graph alive.
 class graph_entry {
@@ -138,19 +151,46 @@ class graph_entry {
     return cg_ ? &*cg_ : nullptr;
   }
 
+  // Derived views of this epoch (docs/ENGINE.md "Registry"): one answer
+  // per vertex, computed at most once per entry and shared by every point
+  // query. Each is built lazily on first touch under `token` and
+  // single-flighted (engine/derived_view.h); a cancelled or failed build
+  // leaves the view unbuilt for the next touch. Mutable entries answer
+  // cc and PageRank from the epoch's converged incremental state, which
+  // *is* their view; their coreness is built lazily like the rest. A view
+  // lives and dies with its entry, so it never outlives its epoch.
+  const std::vector<vertex_id>& cc_view(const cancel_token& token = {}) const;
+  const std::vector<vertex_id>& coreness_view(
+      const cancel_token& token = {}) const;
+  const std::vector<double>& pagerank_view(
+      const cancel_token& token = {}) const;
+
   // Resident footprint: plain CSR (+ weighted CSR) for static entries,
-  // base CSR + overlay for mutable ones. Deliberately excludes the lazily
-  // materialized structural view — reading its presence here would race
-  // with a concurrent first materialization.
+  // base CSR + overlay + incremental state for mutable ones, plus every
+  // derived view built so far (each publishes its size through an atomic
+  // once built). Deliberately excludes the lazily materialized structural
+  // view — reading its presence here would race with a concurrent first
+  // materialization.
   size_t memory_bytes() const {
-    if (dyn_) return dyn_->memory_bytes();
-    return g_.memory_bytes() + (wg_ ? wg_->memory_bytes() : 0);
+    const size_t views = cc_.memory_bytes() + coreness_.memory_bytes() +
+                         pagerank_.memory_bytes();
+    if (dyn_)
+      return dyn_->memory_bytes() +
+             inc_->cc_labels.capacity() * sizeof(vertex_id) +
+             inc_->pr_rank.capacity() * sizeof(double) + views;
+    return g_.memory_bytes() + (wg_ ? wg_->memory_bytes() : 0) + views;
   }
   // Footprint of the compressed replica (0 if none).
   size_t compressed_bytes() const { return cg_ ? cg_->memory_bytes() : 0; }
 
  private:
   friend class registry;
+  // `view`, built first by `build(poll)` if needed; a completed build is
+  // reported to the owning registry as `kind`.
+  template <class T, class Build>
+  const std::vector<T>& touch(derived_view<T>& view, view_kind kind,
+                              const cancel_token& token, Build&& build) const;
+
   std::string name_;
   uint64_t epoch_ = 0;
   graph g_;  // empty for mutable entries (structure() materializes lazily)
@@ -160,6 +200,13 @@ class graph_entry {
   std::shared_ptr<const dynamic::inc_state> inc_;
   mutable std::once_flag mat_once_;
   mutable std::optional<graph> mat_;  // lazy merged CSR (mutable entries)
+  mutable derived_view<vertex_id> cc_;  // immutable entries only
+  mutable derived_view<vertex_id> coreness_;
+  mutable derived_view<double> pagerank_;  // immutable entries only
+  // Where view builds are reported; null when the registry publishes no
+  // metrics. Shared with the registry, which clears it on destruction, so
+  // an entry that outlives its registry just stops reporting.
+  std::shared_ptr<view_observer> observer_;
 };
 
 using graph_handle = std::shared_ptr<const graph_entry>;
@@ -184,9 +231,13 @@ class registry {
   // With `metrics` set, the residency layer publishes into the registry:
   // load outcome counters (engine_graph_loads_total / _load_retries_total /
   // _load_failures_total), the engine_graph_load_micros histogram,
-  // engine_graphs_resident + engine_graph_memory_bytes gauges, and a
-  // per-graph engine_graph_epoch{graph="..."} gauge (docs/OBSERVABILITY.md).
+  // engine_graphs_resident + engine_graph_memory_bytes gauges (the latter
+  // refreshed after every view build), a per-graph
+  // engine_graph_epoch{graph="..."} gauge, and
+  // engine_view_builds_total{view="cc|coreness|pagerank"} counting
+  // completed view builds (docs/OBSERVABILITY.md).
   explicit registry(obs::metrics_registry* metrics = nullptr);
+  ~registry();
   registry(const registry&) = delete;
   registry& operator=(const registry&) = delete;
 
@@ -296,6 +347,9 @@ class registry {
   graph_handle insert(std::shared_ptr<graph_entry> e);
   // Refreshes the residency gauges; caller must NOT hold mutex_.
   void publish_residency();
+  // Called (through view_observer) after an entry published a view.
+  friend class graph_entry;
+  void note_view_built(view_kind v);
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, graph_handle> entries_;
@@ -321,6 +375,8 @@ class registry {
   obs::histogram* m_update_micros_ = nullptr;
   obs::gauge* m_resident_ = nullptr;
   obs::gauge* m_memory_bytes_ = nullptr;
+  std::array<obs::counter*, kNumViewKinds> m_view_builds_{};
+  std::shared_ptr<view_observer> view_observer_;
 };
 
 }  // namespace ligra::engine

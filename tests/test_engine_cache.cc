@@ -1,6 +1,6 @@
 // Tests for the engine's LRU result cache: hit/miss/eviction semantics,
-// recency refresh on access, epoch-keyed invalidation, counters, and the
-// capacity-0 disabled mode.
+// recency refresh on access, epoch-keyed invalidation, counters, the
+// capacity-0 disabled mode, and which query kinds the executor caches.
 #include "engine/result_cache.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,9 @@
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include "engine/executor.h"
+#include "graph/generators.h"
 
 namespace e = ligra::engine;
 
@@ -222,4 +225,49 @@ TEST(EngineCache, EmptyBatchesAreHarmless) {
   cache.put_many({});
   auto c = cache.counters();
   EXPECT_EQ(c.hits + c.misses + c.insertions, 0u);
+}
+
+// The executor caches only answers that are expensive to recompute: bfs and
+// sssp pairs, top-k by k, triangle counts. component_id and coreness read
+// one entry of the graph's derived view, so they never touch the cache.
+TEST(EngineCache, ExecutorCachesOnlyExpensiveKinds) {
+  e::registry reg;
+  reg.add("g", ligra::gen::rmat_graph(8, 1 << 11, /*seed=*/4));
+  reg.add("w", ligra::gen::add_random_weights(ligra::gen::grid3d_graph(4), 1,
+                                              9, /*seed=*/4));
+  e::query_executor ex(reg, {});
+  auto req = [](const char* g, e::query_kind kind) {
+    e::query_request q;
+    q.graph = g;
+    q.kind = kind;
+    q.source = 1;
+    q.target = 5;
+    q.k = 3;
+    return q;
+  };
+  for (auto kind : {e::query_kind::component_id, e::query_kind::coreness}) {
+    for (int i = 0; i < 2; i++) {
+      EXPECT_FALSE(ex.run(req("g", kind)).cache_hit);
+      EXPECT_FALSE(ex.submit(req("g", kind)).get().cache_hit);
+    }
+  }
+  EXPECT_EQ(ex.cache().size(), 0u);
+  auto c = ex.cache().counters();
+  EXPECT_EQ(c.hits + c.misses, 0u);
+
+  const std::pair<const char*, e::query_kind> cached[] = {
+      {"g", e::query_kind::bfs_distance},
+      {"w", e::query_kind::sssp_distance},
+      {"g", e::query_kind::pagerank_topk},
+      {"g", e::query_kind::triangle_count}};
+  for (const auto& [g, kind] : cached) {
+    EXPECT_FALSE(ex.run(req(g, kind)).cache_hit) << e::query_kind_name(kind);
+    EXPECT_TRUE(ex.run(req(g, kind)).cache_hit) << e::query_kind_name(kind);
+  }
+  EXPECT_EQ(ex.cache().size(), 4u);
+
+  // Top-k is keyed by k: a different k is a different answer.
+  auto other_k = req("g", e::query_kind::pagerank_topk);
+  other_k.k = 4;
+  EXPECT_FALSE(ex.run(other_k).cache_hit);
 }

@@ -138,17 +138,19 @@ TEST(EngineExecutor, SsspOnUnweightedGraphFails) {
 TEST(EngineExecutor, RepeatedQueryHitsCache) {
   fixture fx;
   e::query_executor ex(fx.reg, {});
-  auto first = ex.submit(make_req("social", e::query_kind::coreness, 2)).get();
+  auto req = make_req("social", e::query_kind::pagerank_topk, 0, kNoVertex, 5);
+  auto first = ex.submit(req).get();
   EXPECT_FALSE(first.cache_hit);
-  auto second = ex.submit(make_req("social", e::query_kind::coreness, 2)).get();
+  auto second = ex.submit(req).get();
   EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.value, first.value);
+  EXPECT_EQ(second.topk, first.topk);
   auto snap = ex.stats();
   EXPECT_EQ(snap.cache.hits, 1u);
   EXPECT_EQ(snap.cache.misses, 1u);
   // Cache hits resolve at submit time without occupying the queue.
-  EXPECT_EQ(snap.per_kind[static_cast<size_t>(e::query_kind::coreness)].count,
-            1u);
+  EXPECT_EQ(
+      snap.per_kind[static_cast<size_t>(e::query_kind::pagerank_topk)].count,
+      1u);
 }
 
 TEST(EngineExecutor, ReloadInvalidatesCacheViaEpoch) {

@@ -250,7 +250,7 @@ TEST(GraphIo, FuzzedBinaryInputsThrowCleanly) {
 }
 
 TEST(GraphIo, TruncatedBinaryAfterValidHeaderThrows) {
-  TempFile full("full.bin"), cut("cut.bin");
+  TempFile full("trunc_full.bin"), cut("trunc_cut.bin");
   auto g = gen::rmat_graph(8, 1 << 10, 1);
   io::write_binary_graph(full.path(), g);
   std::ifstream in(full.path(), std::ios::binary);
