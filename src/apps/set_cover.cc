@@ -5,6 +5,7 @@
 
 #include "ligra/bucket.h"
 #include "parallel/atomics.h"
+#include "parallel/sort.h"
 #include "util/rng.h"
 
 namespace ligra::apps {
@@ -65,6 +66,7 @@ set_cover_result approximate_set_cover(const graph& g, vertex_id num_sets,
     result.num_buckets_processed++;
     const uint64_t level = popped->bucket;
     std::vector<uint32_t> demoted;
+    parallel::sort_inplace(popped->ids);
     // Candidates in id order: recompute true coverage; select if the set
     // still belongs to this level, else re-bucket at its true level.
     for (uint32_t s : popped->ids) {

@@ -52,18 +52,23 @@ T reduce(size_t n, Get&& get, T identity, Op&& op) {
     for (size_t i = 0; i < n; i++) acc = op(acc, get(i));
     return acc;
   }
-  std::vector<T> partial(nblocks, identity);
+  // Wrapped so that T = bool does not get std::vector<bool>, whose packed
+  // bits would make the blocks' concurrent writes race on shared words.
+  struct slot {
+    T value;
+  };
+  std::vector<slot> partial(nblocks, slot{identity});
   parallel_for(
       0, nblocks,
       [&](size_t b) {
         auto [lo, hi] = internal::block_range(n, nblocks, b);
         T acc = identity;
         for (size_t i = lo; i < hi; i++) acc = op(acc, get(i));
-        partial[b] = acc;
+        partial[b].value = acc;
       },
       1);
   T acc = identity;
-  for (size_t b = 0; b < nblocks; b++) acc = op(acc, partial[b]);
+  for (size_t b = 0; b < nblocks; b++) acc = op(acc, partial[b].value);
   return acc;
 }
 

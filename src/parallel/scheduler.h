@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -146,9 +147,16 @@ class scheduler {
 
   int num_workers_;
   std::atomic<bool> shutdown_{false};
-  // Count of workers currently parked; a pusher wakes one via futex-like
+  // Count of workers currently parked; a pusher wakes one via the park
   // condvar when this is nonzero (see scheduler.cc).
   std::atomic<int> sleepers_{0};
+  // Parking lot for idle workers. Owned by the pool, so it lives exactly as
+  // long as the threads that wait on it (the global instance is never
+  // destroyed, so workers stay parked safely through static destruction).
+  // Correctness does not depend on wakeup delivery (waits are timed); the
+  // condvar only cuts idle-spin CPU.
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
   internal::deque* deques_;  // one per worker, cache-line padded
   std::thread* threads_;     // num_workers_ - 1 pool threads
 

@@ -1,7 +1,8 @@
 // Parallel semisort — reorder records so equal keys are contiguous without
 // fully sorting (Gu, Shun, Sun, Blelloch, SPAA'15; in the paper authors'
-// bibliography). The workhorse behind group-by operations: Julienne's
-// bucket redistribution uses it here in place of a comparison sort.
+// bibliography). The workhorse behind group-by operations over unbounded
+// keys. (The bucket structure does not need it: its destinations form a
+// small dense range, so it partitions by a blocked count-then-scatter.)
 //
 // Implementation: hash keys into B buckets (B ~ n / expected-group-size,
 // power of two), count-scan-scatter into bucket order (stable within a
