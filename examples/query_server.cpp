@@ -153,7 +153,7 @@ engine::graph_handle add_mutable_graph(engine::registry& reg,
   return reg.add_mutable(name, make(), dir, dcfg.dur);
 }
 
-// Parses "name=path[,weighted][,sym][,compress][,mutable]" and loads it.
+// Parses "name=path[,weighted][,sym][,mutable]" and loads it.
 void load_spec(engine::registry& reg, const std::string& spec,
                const durability_config& dcfg) {
   auto eq = spec.find('=');
@@ -175,8 +175,6 @@ void load_spec(engine::registry& reg, const std::string& spec,
       opts.weighted = true;
     } else if (part == "sym" || part == "symmetric") {
       opts.symmetric = true;
-    } else if (part == "compress") {
-      opts.compress = true;
     } else if (part == "mutable") {
       want_mutable = true;
     } else {
@@ -195,11 +193,10 @@ void load_spec(engine::registry& reg, const std::string& spec,
     h = add_mutable_graph(reg, name, dcfg,
                           [&]() { return std::move(base); });
   }
-  std::printf("loaded '%s' from %s: %u vertices, %llu edges%s%s%s\n",
+  std::printf("loaded '%s' from %s: %u vertices, %llu edges%s%s\n",
               name.c_str(), path.c_str(), h->num_vertices(),
               static_cast<unsigned long long>(h->num_edges()),
               h->weighted() ? ", weighted" : "",
-              h->compressed() ? ", compressed replica" : "",
               h->is_mutable() ? ", mutable" : "");
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <string>
-#include <utility>
-
 #include <unordered_map>
+#include <utility>
 
 #include "apps/query_adapters.h"
 #include "dynamic/incremental.h"
@@ -22,6 +22,88 @@
 
 namespace ligra::engine {
 
+const char* query_status_name(query_status s) {
+  switch (s) {
+    case query_status::ok: return "ok";
+    case query_status::cancelled: return "cancelled";
+    case query_status::deadline: return "deadline";
+    case query_status::shed: return "shed";
+    case query_status::rejected: return "rejected";
+    case query_status::not_found: return "not_found";
+    case query_status::bad_request:
+    case query_status::load:
+    case query_status::internal: break;
+  }
+  return "error";
+}
+
+query_outcome query_outcome::failure(query_status s, std::string message,
+                                     std::chrono::milliseconds retry_after) {
+  query_outcome o;
+  o.status = s;
+  o.message = std::move(message);
+  o.retry_after = retry_after;
+  return o;
+}
+
+query_outcome query_outcome::from_exception(std::exception_ptr e) {
+  query_outcome o;
+  o.error = e;
+  auto set = [&o](query_status s, const std::exception& x) {
+    o.status = s;
+    o.message = x.what();
+  };
+  try {
+    std::rethrow_exception(e);
+  } catch (const cancelled_error& x) {
+    set(query_status::cancelled, x);
+  } catch (const deadline_exceeded_error& x) {
+    set(query_status::deadline, x);
+  } catch (const shed_error& x) {
+    set(query_status::shed, x);
+    o.retry_after = x.retry_after;
+  } catch (const rejected_error& x) {
+    set(query_status::rejected, x);
+    o.retry_after = x.retry_after;
+  } catch (const not_found_error& x) {
+    set(query_status::not_found, x);
+  } catch (const load_error& x) {
+    set(query_status::load, x);
+  } catch (const update_error& x) {
+    set(query_status::load, x);
+  } catch (const std::invalid_argument& x) {
+    set(query_status::bad_request, x);
+  } catch (const std::exception& x) {
+    set(query_status::internal, x);
+  } catch (...) {
+    o.status = query_status::internal;
+    o.message = "unknown error";
+  }
+  return o;
+}
+
+std::exception_ptr query_outcome::exception() const {
+  if (error) return error;
+  // Outcomes the executor builds without a thrown exception.
+  switch (status) {
+    case query_status::ok: return nullptr;
+    case query_status::cancelled:
+      return std::make_exception_ptr(cancelled_error(message));
+    case query_status::deadline:
+      return std::make_exception_ptr(deadline_exceeded_error(message));
+    case query_status::shed:
+      return std::make_exception_ptr(shed_error(message, retry_after));
+    case query_status::rejected:
+      return std::make_exception_ptr(rejected_error(message, retry_after));
+    case query_status::not_found:
+      return std::make_exception_ptr(not_found_error(message));
+    case query_status::bad_request:
+    case query_status::load:
+    case query_status::internal: break;
+  }
+  return std::make_exception_ptr(engine_error(message));
+}
+
 namespace {
 
 void check_vertex(const char* what, vertex_id v, vertex_id n) {
@@ -29,6 +111,16 @@ void check_vertex(const char* what, vertex_id v, vertex_id n) {
     throw std::invalid_argument(std::string(what) + ": vertex " +
                                 std::to_string(v) + " out of range [0, " +
                                 std::to_string(n) + ")");
+}
+
+// A settled answer read back from the result cache.
+query_outcome from_cache(const query_result& cached, const obs::trace_id& tid) {
+  query_outcome o;
+  o.result = cached;
+  o.result.cache_hit = true;
+  o.result.micros = 0.0;
+  o.result.tid = tid;
+  return o;
 }
 
 // Round-boundary poll hook for the dynamic traversals (same shape the app
@@ -182,101 +274,93 @@ bool query_executor::draw_sample() {
   return u < opts_.trace_sample_rate;
 }
 
-void query_executor::observe_done(const obs::trace_id& tid,
-                                  const query_request& req, bool sampled,
-                                  obs::query_trace* trace, uint64_t epoch,
-                                  double queued_micros, const char* outcome,
-                                  double exec_micros, const query_result* r,
-                                  const std::string& error,
-                                  uint32_t retry_after_ms, uint64_t batch_id,
-                                  uint32_t batch_width) {
+void query_executor::observe_done(const job& j, const query_outcome& o,
+                                  const run_info& run) {
   if (!observing()) return;
-  const size_t rounds = trace != nullptr ? trace->rounds().size() : 0;
+  const size_t rounds = run.trace != nullptr ? run.trace->rounds().size() : 0;
+  const auto retry_after_ms = static_cast<uint32_t>(o.retry_after.count());
   if (opts_.flightrec != nullptr) {
     obs::flight_entry e;
-    e.id = tid;
-    e.set_kind(query_kind_name(req.kind));
-    e.set_graph(req.graph);
-    e.set_outcome(outcome);
-    e.epoch = epoch;
-    e.queued_micros = queued_micros;
-    e.exec_micros = exec_micros;
+    e.id = j.req.tid;
+    e.set_kind(query_kind_name(j.req.kind));
+    e.set_graph(j.req.graph);
+    e.set_outcome(query_status_name(o.status));
+    e.epoch = j.epoch;
+    e.queued_micros = run.queued_micros;
+    e.exec_micros = run.exec_micros;
     e.rounds = static_cast<uint32_t>(rounds);
     e.retry_after_ms = retry_after_ms;
-    if (r != nullptr) {
+    if (o.ok()) {
       // Approximate wire size of the answer (net/protocol.h response body).
-      e.result_bytes = 8 + 12 * r->topk.size();
-      e.cache_hit = r->cache_hit;
+      e.result_bytes = 8 + 12 * o.result.topk.size();
+      e.cache_hit = o.result.cache_hit;
     }
     opts_.flightrec->record(e);
   }
   if (opts_.traces == nullptr) return;
   // Retention rules (docs/OBSERVABILITY.md): sampled queries always; every
   // non-ok outcome always; slow queries always.
-  const bool is_ok = error.empty() && std::string_view(outcome) == "ok";
   const bool slow =
       opts_.slow_trace_micros > 0 &&
-      exec_micros >= static_cast<double>(opts_.slow_trace_micros);
-  if (!sampled && is_ok && !slow) return;
+      run.exec_micros >= static_cast<double>(opts_.slow_trace_micros);
+  if (!j.sampled && o.ok() && !slow) return;
   obs::trace_record rec;
-  rec.id = tid;
-  rec.kind = query_kind_name(req.kind);
-  rec.graph = req.graph;
-  rec.outcome = outcome;
-  rec.sampled = sampled;
-  rec.cache_hit = r != nullptr && r->cache_hit;
-  rec.epoch = epoch;
-  rec.queued_micros = queued_micros;
-  rec.exec_micros = exec_micros;
+  rec.id = j.req.tid;
+  rec.kind = query_kind_name(j.req.kind);
+  rec.graph = j.req.graph;
+  rec.outcome = query_status_name(o.status);
+  rec.sampled = j.sampled;
+  rec.cache_hit = o.ok() && o.result.cache_hit;
+  rec.epoch = j.epoch;
+  rec.queued_micros = run.queued_micros;
+  rec.exec_micros = run.exec_micros;
   rec.retry_after_ms = retry_after_ms;
   rec.rounds = rounds;
-  rec.batch_id = batch_id;
-  rec.batch_width = batch_width;
-  rec.error = error;
-  if (trace != nullptr) rec.trace_json = trace->to_json();
+  rec.batch_id = run.batch_id;
+  rec.batch_width = run.batch_width;
+  rec.error = o.message;
+  if (run.trace != nullptr) rec.trace_json = run.trace->to_json();
   opts_.traces->insert(std::move(rec));
 }
 
-std::future<query_result> query_executor::submit(query_request req) {
+bool query_executor::settle(job& j, query_outcome&& o, const run_info& run) {
+  if (j.settled.exchange(true)) return false;
+  stats_.record_outcome(o.status);
+  if (o.ok() && !o.result.cache_hit)
+    stats_.record_latency(j.req.kind, run.exec_micros);
+  observe_done(j, o, run);
+  j.done(std::move(o));
+  return true;
+}
+
+query_executor::job_ptr query_executor::make_job(query_request req,
+                                                 query_callback done) {
   stats_.record_submitted();
   auto j = std::make_shared<job>();
   j->req = std::move(req);
+  j->done = std::move(done);
   j->submit_t0 = mono_now();
   // Mint a correlation id for requests that arrive without one whenever a
   // sink is attached; echo a caller-supplied id either way. Sampling is
   // sticky from here: the wire bit (or the server-side draw) decides once.
   if (observing() && !j->req.tid.valid()) j->req.tid = obs::trace_id::mint();
-  j->tid = j->req.tid;
   j->sampled = j->req.sampled || (observing() && draw_sample());
-  // Log lines fired from the submission path carry the query's id.
-  obs::trace_id_scope id_scope(j->tid);
-  std::future<query_result> fut = j->promise.get_future();
 
   j->handle = registry_.try_get(j->req.graph);
   if (!j->handle) {
-    stats_.record_failed();
-    const std::string msg =
-        "no graph named '" + j->req.graph + "' is registered";
-    observe_done(j->tid, j->req, j->sampled, nullptr, 0, 0.0, "not_found", 0.0,
-                 nullptr, msg, 0);
-    j->promise.set_exception(std::make_exception_ptr(not_found_error(msg)));
-    return fut;
+    settle(*j, query_outcome::failure(query_status::not_found,
+                                      "no graph named '" + j->req.graph +
+                                          "' is registered"));
+    return nullptr;
   }
   j->epoch = j->handle->epoch();
 
   j->cacheable = cacheable(j->req);
   if (j->cacheable) {
-    j->key = make_key(j->req, j->handle->epoch());
+    j->key = make_key(j->req, j->epoch);
     if (auto cached = cache_.get(j->key)) {
-      query_result r = *cached;
-      r.cache_hit = true;
-      r.micros = 0.0;
-      r.tid = j->tid;
-      stats_.record_completed();
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0, "ok",
-                   0.0, &r, "", 0);
-      j->promise.set_value(std::move(r));
-      return fut;
+      settle(*j, from_cache(*cached, j->req.tid));
+      return nullptr;
     }
   }
 
@@ -313,68 +397,70 @@ std::future<query_result> query_executor::submit(query_request req) {
       j->deadline_at != std::chrono::steady_clock::time_point::max()) {
     j->source = cancel_source(j->req.token, j->deadline_at);
     j->token = j->source.token();
-    j->has_source = true;
   }
+  return j;
+}
 
+std::exception_ptr query_executor::admit(query_request req,
+                                         query_callback done) {
+  job_ptr j = make_job(std::move(req), std::move(done));
+  if (!j) return nullptr;
+  // Log lines fired from the submission path carry the query's id.
+  obs::trace_id_scope id_scope(j->req.tid);
+
+  std::optional<query_outcome> refusal;
+  const char* warning = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (opts_.shed_watermark > 0 && queue_.size() >= opts_.shed_watermark &&
+    const size_t depth = queue_.size();
+    if (opts_.shed_watermark > 0 && depth >= opts_.shed_watermark &&
         j->req.priority == query_priority::low) {
-      stats_.record_shed();
       // Advice scales with how far past the watermark the queue is: the
       // deeper the backlog, the longer the caller should stay away.
-      auto over = queue_.size() - opts_.shed_watermark + 1;
-      auto advice = std::chrono::milliseconds(
-          std::min<uint64_t>(1000, 20 * static_cast<uint64_t>(over)));
-      const std::string msg =
-          "load shedding active (" + std::to_string(queue_.size()) +
-          " pending >= watermark " + std::to_string(opts_.shed_watermark) +
-          "); low-priority query shed";
-      const auto advice_ms = static_cast<uint32_t>(advice.count());
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0, "shed",
-                   0.0, nullptr, msg, advice_ms);
-      if (observing())
-        obs::log_warn("engine", "query shed",
-                      {{"kind", query_kind_name(j->req.kind)},
-                       {"graph", j->req.graph},
-                       {"queue_depth", queue_.size()},
-                       {"retry_after_ms", advice_ms}});
-      throw shed_error(msg, advice);
-    }
-    if (draining_) {
-      stats_.record_rejected();
-      const std::string msg = "executor draining; no new queries admitted";
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0,
-                   "rejected", 0.0, nullptr, msg, 1000);
-      throw rejected_error(msg, std::chrono::milliseconds(1000));
-    }
-    if (queue_.size() >= opts_.max_queue) {
-      stats_.record_rejected();
+      const auto over = depth - opts_.shed_watermark + 1;
+      warning = "query shed";
+      refusal = query_outcome::failure(
+          query_status::shed,
+          "load shedding active (" + std::to_string(depth) +
+              " pending >= watermark " + std::to_string(opts_.shed_watermark) +
+              "); low-priority query shed",
+          std::chrono::milliseconds(
+              std::min<uint64_t>(1000, 20 * static_cast<uint64_t>(over))));
+    } else if (draining_) {
+      refusal = query_outcome::failure(
+          query_status::rejected, "executor draining; no new queries admitted",
+          std::chrono::milliseconds(1000));
+    } else if (depth >= opts_.max_queue) {
       // Same advice scaling as shedding: a full queue is maximal overload,
       // so the advice starts where the shed formula's range does.
-      auto advice = std::chrono::milliseconds(std::min<uint64_t>(
-          1000, 20 * static_cast<uint64_t>(queue_.size() - opts_.max_queue + 1 +
-                                           opts_.max_queue / 2)));
-      const std::string msg =
-          "admission queue full (" + std::to_string(queue_.size()) +
-          " pending, limit " + std::to_string(opts_.max_queue) +
-          "); retry later";
-      const auto advice_ms = static_cast<uint32_t>(advice.count());
-      observe_done(j->tid, j->req, j->sampled, nullptr, j->epoch, 0.0,
-                   "rejected", 0.0, nullptr, msg, advice_ms);
-      if (observing())
-        obs::log_warn("engine", "query rejected",
-                      {{"kind", query_kind_name(j->req.kind)},
-                       {"graph", j->req.graph},
-                       {"queue_depth", queue_.size()},
-                       {"retry_after_ms", advice_ms}});
-      throw rejected_error(msg, advice);
+      warning = "query rejected";
+      refusal = query_outcome::failure(
+          query_status::rejected,
+          "admission queue full (" + std::to_string(depth) + " pending, limit " +
+              std::to_string(opts_.max_queue) + "); retry later",
+          std::chrono::milliseconds(std::min<uint64_t>(
+              1000, 20 * static_cast<uint64_t>(depth - opts_.max_queue + 1 +
+                                               opts_.max_queue / 2))));
+    } else {
+      // The span must start before the queue lock drops: once push_back
+      // publishes the job, the dispatcher may read queued_span concurrently.
+      if (j->trace != nullptr) j->queued_span = j->trace->begin_span("queued");
+      queue_.push_back(j);
+      g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
     }
-    // The span must start before the queue lock drops: once push_back
-    // publishes the job, the dispatcher may read queued_span concurrently.
-    if (j->trace != nullptr) j->queued_span = j->trace->begin_span("queued");
-    queue_.push_back(j);
-    g_queue_depth_->set(static_cast<int64_t>(queue_.size()));
+    if (warning != nullptr && observing())
+      obs::log_warn("engine", warning,
+                    {{"kind", query_kind_name(j->req.kind)},
+                     {"graph", j->req.graph},
+                     {"queue_depth", depth},
+                     {"retry_after_ms", static_cast<uint64_t>(
+                                            refusal->retry_after.count())}});
+  }
+  if (refusal) {
+    refusal->error = refusal->exception();
+    std::exception_ptr err = refusal->error;
+    settle(*j, std::move(*refusal));
+    return err;
   }
   notify_work();
 
@@ -385,158 +471,63 @@ std::future<query_result> query_executor::submit(query_request req) {
     }
     wd_cv_.notify_one();
   }
+  return nullptr;
+}
+
+void query_executor::submit(query_request req, query_callback done) {
+  admit(std::move(req), std::move(done));
+}
+
+std::future<query_result> query_executor::submit(query_request req) {
+  auto promise = std::make_shared<std::promise<query_result>>();
+  std::future<query_result> fut = promise->get_future();
+  std::exception_ptr refused =
+      admit(std::move(req), [promise](query_outcome&& o) {
+        if (o.ok())
+          promise->set_value(std::move(o.result));
+        else
+          promise->set_exception(o.exception());
+      });
+  if (refused) std::rethrow_exception(refused);
   return fut;
 }
 
 query_result query_executor::run(const query_request& req) {
-  stats_.record_submitted();
-  // Same observability contract as submit(): mint when a sink is attached,
-  // echo otherwise (the REPL path shows up in /traces too).
-  obs::trace_id tid = req.tid;
-  bool sampled = req.sampled;
-  if (observing()) {
-    if (!tid.valid()) tid = obs::trace_id::mint();
-    sampled = sampled || draw_sample();
-  }
-  obs::trace_id_scope id_scope(tid);
-  graph_handle handle;
-  try {
-    handle = registry_.get(req.graph);
-  } catch (const not_found_error& e) {
-    stats_.record_failed();
-    observe_done(tid, req, sampled, nullptr, 0, 0.0, "not_found", 0.0, nullptr,
-                 e.what(), 0);
-    throw;
-  }
-  const uint64_t epoch = handle->epoch();
-  const bool use_cache = cacheable(req);
-  cache_key key;
-  if (use_cache) {
-    key = make_key(req, epoch);
-    if (auto cached = cache_.get(key)) {
-      query_result r = *cached;
-      r.cache_hit = true;
-      r.micros = 0.0;
-      r.tid = tid;
-      stats_.record_completed();
-      observe_done(tid, req, sampled, nullptr, epoch, 0.0, "ok", 0.0, &r, "",
-                   0);
-      return r;
-    }
-  }
-  // Arm an executor-owned trace under the same rules as the async path.
-  std::unique_ptr<obs::query_trace> owned_trace;
-  obs::query_trace* trace = req.trace;
-  if (trace == nullptr && opts_.traces != nullptr &&
-      (sampled || req.deadline.count() > 0 || opts_.slow_trace_micros > 0)) {
-    owned_trace = std::make_unique<obs::query_trace>();
-    trace = owned_trace.get();
-  }
-  // Synchronous path: deadline enforced by polling only (there is no one to
-  // settle the caller's stack frame early).
-  cancel_token token = req.token;
-  cancel_source source;
-  if (req.deadline.count() > 0) {
-    source = cancel_source(req.token,
-                           std::chrono::steady_clock::now() + req.deadline);
-    token = source.token();
-  }
-  const monotonic_time t0 = mono_now();
-  try {
-    query_result r;
-    {
-      obs::trace_scope tracing(trace);
-      obs::span_scope span("execute");
-      r = execute(req, *handle, token);
-    }
-    r.micros = micros_since(t0);
-    r.tid = tid;
-    if (use_cache) {
-      try {
-        cache_.put(key, std::make_shared<query_result>(r));
-      } catch (...) {
-        // Cache insertion failure never fails a completed query.
-      }
-    }
-    stats_.record_latency(req.kind, r.micros);
-    stats_.record_completed();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "ok", r.micros, &r, "",
-                 0);
-    return r;
-  } catch (const cancelled_error& e) {
-    stats_.record_cancelled();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "cancelled",
-                 micros_since(t0), nullptr, e.what(), 0);
-    throw;
-  } catch (const deadline_exceeded_error& e) {
-    stats_.record_deadline_exceeded();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "deadline",
-                 micros_since(t0), nullptr, e.what(), 0);
-    throw;
-  } catch (const std::exception& e) {
-    stats_.record_failed();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "error",
-                 micros_since(t0), nullptr, e.what(), 0);
-    throw;
-  } catch (...) {
-    stats_.record_failed();
-    observe_done(tid, req, sampled, trace, epoch, 0.0, "error",
-                 micros_since(t0), nullptr, "unknown error", 0);
-    throw;
-  }
+  // The job settles before execute_job returns (nothing else holds it: no
+  // queue, no watchdog), so the callback may write to this frame.
+  query_outcome out;
+  job_ptr j = make_job(req, [&out](query_outcome&& o) { out = std::move(o); });
+  if (j) execute_job(j, nullptr, /*on_pool=*/false);
+  if (!out.ok()) std::rethrow_exception(out.exception());
+  return std::move(out.result);
 }
 
-void query_executor::settle_error(const job_ptr& j, std::exception_ptr err) {
-  if (j->settled.exchange(true)) return;  // watchdog got there first
-  try {
-    std::rethrow_exception(err);
-  } catch (const cancelled_error&) {
-    stats_.record_cancelled();
-  } catch (const deadline_exceeded_error&) {
-    stats_.record_deadline_exceeded();
-  } catch (...) {
-    stats_.record_failed();
+bool query_executor::start_job(job& j, uint64_t batch_id,
+                               uint32_t batch_width) {
+  j.queued_micros = micros_since(j.submit_t0);
+  if (j.trace != nullptr && j.queued_span != SIZE_MAX)
+    j.trace->end_span(j.queued_span);
+  if (j.token.should_stop()) {
+    settle(j,
+           j.token.deadline_exceeded()
+               ? query_outcome::failure(query_status::deadline,
+                                        "query deadline exceeded while queued")
+               : query_outcome::failure(query_status::cancelled,
+                                        "query cancelled while queued"),
+           run_of(j, 0.0, batch_id, batch_width));
+    return false;
   }
-  j->promise.set_exception(std::move(err));
+  // The watchdog may have settled the job while it sat in the queue.
+  return !j.settled.load(std::memory_order_acquire);
 }
 
-void query_executor::execute_job(const job_ptr& j,
-                                 edge_map_scratch* scratch) {
-  j->queued_micros = micros_since(j->submit_t0);
-  obs::trace_id_scope id_scope(j->tid);
-  if (j->trace != nullptr && j->queued_span != SIZE_MAX)
-    j->trace->end_span(j->queued_span);
-  // A queued job whose token already tripped (deadline passed or caller
-  // cancelled while it waited) is settled without running the body.
-  if (j->token.should_stop()) {
-    std::exception_ptr err;
-    const char* outcome;
-    std::string msg;
-    if (j->token.deadline_exceeded()) {
-      outcome = "deadline";
-      msg = "query deadline exceeded while queued";
-      err = std::make_exception_ptr(deadline_exceeded_error(msg));
-    } else {
-      outcome = "cancelled";
-      msg = "query cancelled while queued";
-      err = std::make_exception_ptr(cancelled_error(msg));
-    }
-    settle_error(j, std::move(err));
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, outcome, 0.0, nullptr, msg, 0);
-    return;
-  }
-  if (j->settled.load(std::memory_order_acquire)) {
-    // The watchdog already settled this job while it sat in the queue; it
-    // never ran, but the flight recorder still wants the refusal.
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, "deadline", 0.0, nullptr,
-                 "query deadline exceeded while queued (watchdog)", 0);
-    return;
-  }
+void query_executor::execute_job(const job_ptr& j, edge_map_scratch* scratch,
+                                 bool on_pool) {
+  obs::trace_id_scope id_scope(j->req.tid);
+  if (!start_job(*j)) return;
 
   const monotonic_time t0 = mono_now();
-  query_result r;
+  query_outcome o;
   std::exception_ptr err;
   // The trace and the dispatcher's round scratch are installed *inside*
   // the body closure: with use_pool the body runs on a pool worker thread,
@@ -550,73 +541,43 @@ void query_executor::execute_job(const job_ptr& j,
   // trace id rides along so log lines fired inside the body correlate.
   auto body = [&]() noexcept {
     obs::trace_scope tracing(j->trace);
-    obs::trace_id_scope body_id_scope(j->tid);
+    obs::trace_id_scope body_id_scope(j->req.tid);
     edge_map_scratch_scope scratch_scope(scratch);
     obs::span_scope span("execute");
     try {
       if (LIGRA_FAILPOINT("executor.dispatch"))
         throw engine_error(
             "injected dispatch failure (failpoint executor.dispatch)");
-      r = execute(j->req, *j->handle, j->token);
+      o.result = execute(j->req, *j->handle, j->token);
     } catch (...) {
       err = std::current_exception();
     }
   };
-  if (opts_.use_pool) {
+  if (on_pool) {
     parallel::run_on_pool(body);
   } else {
     body();
   }
   const double exec_micros = micros_since(t0);
   if (err) {
-    // Derive the retained outcome from the exception type; settle_error
-    // repeats the classification for stats (it may lose the settle race to
-    // the watchdog, observation here happens exactly once either way).
-    const char* outcome = "error";
-    std::string msg = "unknown error";
-    try {
-      std::rethrow_exception(err);
-    } catch (const cancelled_error& e) {
-      outcome = "cancelled";
-      msg = e.what();
-    } catch (const deadline_exceeded_error& e) {
-      outcome = "deadline";
-      msg = e.what();
-    } catch (const std::exception& e) {
-      msg = e.what();
-    } catch (...) {
-    }
-    settle_error(j, err);
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, outcome, exec_micros, nullptr, msg, 0);
-    return;
-  }
-  if (j->settled.exchange(true)) {
-    // Late result: the watchdog already delivered deadline_exceeded to the
-    // caller. Retained with the body's real cost — this is exactly the
-    // query a post-mortem wants to see (what was still burning CPU after
-    // its deadline), with every round the body ran.
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, "deadline", exec_micros, nullptr,
-                 "query deadline exceeded (watchdog): late result discarded",
-                 0);
-    return;
-  }
-  r.micros = exec_micros;
-  r.tid = j->tid;
-  if (j->cacheable) {
-    try {
-      cache_.put(j->key, std::make_shared<query_result>(r));
-    } catch (...) {
-      // Cache insertion failure (failpoint or allocation) never fails a
-      // completed query — the answer still goes out, just uncached.
+    o = query_outcome::from_exception(err);
+  } else {
+    o.result.micros = exec_micros;
+    o.result.tid = j->req.tid;
+    // The cache insert happens BEFORE the callback runs: a caller that
+    // observes its result and immediately resubmits the same key must hit.
+    // Insertion failure (failpoint or allocation) never fails a completed
+    // query — the answer still goes out, just uncached.
+    if (j->cacheable) {
+      try {
+        cache_.put(j->key, std::make_shared<query_result>(o.result));
+      } catch (...) {
+      }
     }
   }
-  stats_.record_latency(j->req.kind, r.micros);
-  stats_.record_completed();
-  observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-               j->queued_micros, "ok", r.micros, &r, "", 0);
-  j->promise.set_value(std::move(r));
+  // Loses to the watchdog when it already delivered deadline_exceeded;
+  // the late outcome is then discarded.
+  settle(*j, std::move(o), run_of(*j, exec_micros));
 }
 
 std::deque<query_executor::job_ptr>::iterator
@@ -711,7 +672,7 @@ void query_executor::dispatcher_loop() {
     if (batch.size() > 1) {
       execute_batch(batch, &scratch, &mb_scratch, wait_micros);
     } else {
-      execute_job(j, &scratch);
+      execute_job(j, &scratch, opts_.use_pool);
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -735,37 +696,12 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
       batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   const auto width = static_cast<uint32_t>(batch.size());
 
-  // Per-member prologue, exactly the singular path's: close the queued
-  // span, and settle members whose token tripped (or whose watchdog fired)
-  // while they sat in the queue or the coalescing window.
+  // Per-member prologue, exactly the singular path's.
   std::vector<job_ptr> live;
   live.reserve(batch.size());
   for (auto& j : batch) {
-    j->queued_micros = micros_since(j->submit_t0);
-    obs::trace_id_scope id_scope(j->tid);
-    if (j->trace != nullptr && j->queued_span != SIZE_MAX)
-      j->trace->end_span(j->queued_span);
-    if (j->token.should_stop()) {
-      const bool deadline = j->token.deadline_exceeded();
-      const std::string msg = deadline
-                                  ? "query deadline exceeded while queued"
-                                  : "query cancelled while queued";
-      settle_error(j, deadline ? std::make_exception_ptr(
-                                     deadline_exceeded_error(msg))
-                               : std::make_exception_ptr(cancelled_error(msg)));
-      observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                   j->queued_micros, deadline ? "deadline" : "cancelled", 0.0,
-                   nullptr, msg, 0, batch_id, width);
-      continue;
-    }
-    if (j->settled.load(std::memory_order_acquire)) {
-      observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                   j->queued_micros, "deadline", 0.0, nullptr,
-                   "query deadline exceeded while queued (watchdog)", 0,
-                   batch_id, width);
-      continue;
-    }
-    live.push_back(j);
+    obs::trace_id_scope id_scope(j->req.tid);
+    if (start_job(*j, batch_id, width)) live.push_back(j);
   }
   if (live.empty()) return;
 
@@ -786,17 +722,10 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
       std::vector<char> hit(live.size(), 0);
       for (size_t k = 0; k < keys.size(); k++) {
         if (!found[k]) continue;
-        const job_ptr& j = live[key_member[k]];
+        job& j = *live[key_member[k]];
         hit[key_member[k]] = 1;
-        if (j->settled.exchange(true)) continue;
-        query_result r = *found[k];
-        r.cache_hit = true;
-        r.micros = 0.0;
-        r.tid = j->tid;
-        stats_.record_completed();
-        observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                     j->queued_micros, "ok", 0.0, &r, "", 0, batch_id, width);
-        j->promise.set_value(std::move(r));
+        settle(j, from_cache(*found[k], j.req.tid),
+               run_of(j, 0.0, batch_id, width));
       }
       size_t w = 0;
       for (size_t i = 0; i < live.size(); i++)
@@ -813,16 +742,14 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
   {
     size_t w = 0;
     for (size_t i = 0; i < live.size(); i++) {
-      const job_ptr& j = live[i];
+      job& j = *live[i];
       try {
-        check_vertex("bfs_hop_distance source", j->req.source, n);
-        check_vertex("bfs_hop_distance target", j->req.target, n);
+        check_vertex("bfs_hop_distance source", j.req.source, n);
+        check_vertex("bfs_hop_distance target", j.req.target, n);
         live[w++] = std::move(live[i]);
-      } catch (const std::invalid_argument& e) {
-        settle_error(j, std::current_exception());
-        observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                     j->queued_micros, "error", 0.0, nullptr, e.what(), 0,
-                     batch_id, width);
+      } catch (...) {
+        settle(j, query_outcome::from_exception(std::current_exception()),
+               run_of(j, 0.0, batch_id, width));
       }
     }
     live.resize(w);
@@ -866,17 +793,16 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
   // Fan out: one bit-parallel traversal answers every member. The leader's
   // effective trace is installed (its rounds carry the batch width via the
   // multi_bfs span); the other members keep summary-only records stamped
-  // with the batch id. `finished` marks members settled mid-flight so the
-  // epilogue skips them; it is only ever touched by this call chain (the
-  // body runs to completion before the epilogue), never concurrently.
+  // with the batch id. A member settled mid-flight (its own cancel or
+  // deadline, or the watchdog) has its settled flag set, so the epilogue's
+  // settle() skips it.
   const job_ptr& leader = live.front();
-  std::vector<char> finished(live.size(), 0);
   const monotonic_time t0 = mono_now();
   std::vector<int64_t> dist;
   std::exception_ptr err;
   auto body = [&]() noexcept {
     obs::trace_scope tracing(leader->trace);
-    obs::trace_id_scope body_id_scope(leader->tid);
+    obs::trace_id_scope body_id_scope(leader->req.tid);
     edge_map_scratch_scope scratch_scope(scratch);
     obs::span_scope span("execute");
     try {
@@ -890,23 +816,19 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
       // siblings; only a fully-abandoned batch stops early.
       mopts.on_round = [&](int64_t, size_t) {
         size_t alive = 0;
-        for (size_t i = 0; i < live.size(); i++) {
-          if (finished[i]) continue;
-          const job_ptr& j = live[i];
+        for (const job_ptr& j : live) {
           if (j->settled.load(std::memory_order_acquire)) continue;
           if (j->token.should_stop()) {
-            const bool deadline = j->token.deadline_exceeded();
-            const std::string msg =
-                deadline ? "query deadline exceeded during batched execution"
-                         : "query cancelled during batched execution";
-            settle_error(
-                j, deadline ? std::make_exception_ptr(
-                                  deadline_exceeded_error(msg))
-                            : std::make_exception_ptr(cancelled_error(msg)));
-            observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                         j->queued_micros, deadline ? "deadline" : "cancelled",
-                         micros_since(t0), nullptr, msg, 0, batch_id, width);
-            finished[i] = 1;
+            settle(*j,
+                   j->token.deadline_exceeded()
+                       ? query_outcome::failure(
+                             query_status::deadline,
+                             "query deadline exceeded during batched "
+                             "execution")
+                       : query_outcome::failure(
+                             query_status::cancelled,
+                             "query cancelled during batched execution"),
+                   run_of(*j, micros_since(t0), batch_id, width));
             continue;
           }
           alive++;
@@ -929,55 +851,28 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
     // A failed fan-out (failpoint, allocation) fails each remaining member
     // with the typed error; the coalescer itself is fine — the next batch
     // starts clean.
-    std::string msg = "unknown error";
-    try {
-      std::rethrow_exception(err);
-    } catch (const std::exception& e) {
-      msg = e.what();
-    } catch (...) {
-    }
-    for (size_t i = 0; i < live.size(); i++) {
-      if (finished[i]) continue;
-      settle_error(live[i], err);
-      observe_done(live[i]->tid, live[i]->req, live[i]->sampled,
-                   live[i]->trace, live[i]->epoch, live[i]->queued_micros,
-                   "error", exec_micros, nullptr, msg, 0, batch_id, width);
-    }
+    const query_outcome failed = query_outcome::from_exception(err);
+    for (const job_ptr& j : live)
+      settle(*j, query_outcome(failed), run_of(*j, exec_micros, batch_id, width));
     return;
   }
 
   // Split the answers back per member, each settled and cached
   // individually (one put_many lock for the whole batch) so popular
   // sources hit the cache next time. The cache insert happens BEFORE any
-  // promise is fulfilled: a caller that observes its result and
-  // immediately resubmits the same key must hit.
+  // member settles: a caller that observes its result and immediately
+  // resubmits the same key must hit.
   std::vector<std::pair<cache_key, std::shared_ptr<const query_result>>>
       inserts;
-  std::vector<std::pair<job_ptr, query_result>> settle;
-  settle.reserve(live.size());
   for (size_t w = 0; w < pairs.size(); w++) {
-    bool cached_this_watch = false;
     for (size_t i : watch_members[w]) {
-      if (finished[i]) continue;
-      const job_ptr& j = live[i];
+      if (!live[i]->cacheable) continue;
       query_result r;
       r.kind = query_kind::bfs_distance;
       r.value = dist[w];
       r.micros = exec_micros;
-      r.tid = j->tid;
-      if (j->settled.exchange(true)) {
-        observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                     j->queued_micros, "deadline", exec_micros, nullptr,
-                     "query deadline exceeded (watchdog): late result "
-                     "discarded",
-                     0, batch_id, width);
-        continue;
-      }
-      if (j->cacheable && !cached_this_watch) {
-        inserts.emplace_back(j->key, std::make_shared<query_result>(r));
-        cached_this_watch = true;
-      }
-      settle.emplace_back(j, std::move(r));
+      inserts.emplace_back(live[i]->key, std::make_shared<query_result>(r));
+      break;  // one insert per watch: its members share the key
     }
   }
   if (!inserts.empty()) {
@@ -987,13 +882,16 @@ void query_executor::execute_batch(std::vector<job_ptr>& batch,
       // Cache insertion failure never fails a completed query.
     }
   }
-  for (auto& [j, r] : settle) {
-    stats_.record_latency(j->req.kind, exec_micros);
-    stats_.record_completed();
-    observe_done(j->tid, j->req, j->sampled, j->trace, j->epoch,
-                 j->queued_micros, "ok", exec_micros, &r, "", 0, batch_id,
-                 width);
-    j->promise.set_value(std::move(r));
+  for (size_t w = 0; w < pairs.size(); w++) {
+    for (size_t i : watch_members[w]) {
+      job& j = *live[i];
+      query_outcome o;
+      o.result.kind = query_kind::bfs_distance;
+      o.result.value = dist[w];
+      o.result.micros = exec_micros;
+      o.result.tid = j.req.tid;
+      settle(j, std::move(o), run_of(j, exec_micros, batch_id, width));
+    }
   }
 }
 
@@ -1017,15 +915,14 @@ void query_executor::watchdog_loop() {
     if (!j) continue;  // settled and destroyed long ago
     lock.unlock();
     // Trip the token (so a polling body exits at its next round) and settle
-    // the future now: the caller gets deadline_exceeded at ~the deadline
-    // even if the body never polls. The body's eventual result is discarded
-    // by the settled flag.
+    // the job now: the caller gets deadline_exceeded at ~the deadline even
+    // if the body never polls. The body's eventual outcome is discarded by
+    // the settled flag. The record is summary-only (run_info{}): the body
+    // may still be writing its trace.
     j->source.expire();
-    if (!j->settled.exchange(true)) {
-      stats_.record_deadline_exceeded();
-      j->promise.set_exception(std::make_exception_ptr(deadline_exceeded_error(
-          "query deadline exceeded (watchdog): body still running")));
-    }
+    settle(*j, query_outcome::failure(
+                   query_status::deadline,
+                   "query deadline exceeded (watchdog): body still running"));
     lock.lock();
   }
 }

@@ -1,19 +1,25 @@
 // Admission-controlled query executor (docs/ENGINE.md, docs/ROBUSTNESS.md).
 //
 // submit() resolves the graph handle (pinning the graph for the query's
-// lifetime), probes the result cache — a hit returns a ready future without
+// lifetime), probes the result cache — a hit settles at once without
 // touching the admission queue — and otherwise enqueues the request into a
 // bounded queue drained by `max_concurrency` dispatcher threads. A full
-// queue rejects immediately (rejected_error): callers see backpressure, the
+// queue rejects immediately (rejected): callers see backpressure, the
 // engine never deadlocks or grows unboundedly. Past `shed_watermark`,
-// low-priority requests are shed immediately (shed_error with retry_after
+// low-priority requests are shed immediately (shed, with retry_after
 // advice) so paying traffic keeps the remaining queue slots.
+//
+// Settlement: every submission becomes a job that settles exactly once,
+// with one typed query_outcome, through one settle() — the settled flag,
+// one stats counter, the flight recorder/trace store, then the caller's
+// completion callback. The future-returning submit() and the synchronous
+// run() are thin adapters over that callback.
 //
 // Lifecycle robustness: every query with a deadline or caller token runs
 // under a derived cancel_source. The query body polls the token at round
 // boundaries and bails with a typed error; a watchdog thread additionally
-// settles the future (and trips the token) at the deadline for bodies that
-// never poll, so a future is never late just because a body is
+// settles the job (and trips the token) at the deadline for bodies that
+// never poll, so an answer is never late just because a body is
 // uncooperative. Late results from an already-settled job are discarded.
 //
 // Dispatcher threads are deliberately NOT compute threads: with
@@ -126,15 +132,22 @@ class query_executor {
   query_executor(const query_executor&) = delete;
   query_executor& operator=(const query_executor&) = delete;
 
-  // Asynchronous submission. Throws rejected_error if the admission queue
-  // is full, shed_error if the request was load-shed. Query-level failures
+  // Asynchronous submission: `done` runs exactly once with the query's
+  // outcome, refusals (shed, rejected) and unknown graphs included. It runs on whichever thread settles the query: the caller's
+  // (cache hit, refusal), a dispatcher, a pool worker, or the watchdog, and
+  // never under an executor lock. Keep it cheap.
+  void submit(query_request req, query_callback done);
+
+  // The same, as a future. Throws rejected_error if the admission queue is
+  // full, shed_error if the request was load-shed. Query-level failures
   // (unknown graph, bad vertex, cancellation, deadline, ...) surface
   // through the future as typed exceptions.
   std::future<query_result> submit(query_request req);
 
-  // Synchronous execution on the calling thread (same cache, same stats,
-  // no admission control, no watchdog — deadlines are enforced by polling
-  // only) — the REPL/test path.
+  // Synchronous execution of the same job on the calling thread (same
+  // cache, same stats, no admission control, no watchdog — deadlines are
+  // enforced by polling only) — the REPL/test path. Throws what the future
+  // would.
   query_result run(const query_request& req);
 
   engine_stats_snapshot stats() const;
@@ -169,67 +182,86 @@ class query_executor {
 
  private:
   struct job {
-    query_request req;
+    query_request req;  // req.tid is the correlation id, minted if absent
+    query_callback done;
     graph_handle handle;
     bool cacheable = false;
     cache_key key;
-    std::promise<query_result> promise;
     // Derived from req.token + req.deadline; inactive token when neither
     // is set (zero per-round polling cost).
     cancel_source source;
     cancel_token token;
-    bool has_source = false;
     // Open "queued" span in the effective trace; SIZE_MAX when untraced.
     size_t queued_span = SIZE_MAX;
-    // Observability (docs/OBSERVABILITY.md): the correlation id (mirrors
-    // req.tid after minting), whether this query samples, the
-    // executor-armed trace (when the caller didn't bring one), and the
+    // Observability (docs/OBSERVABILITY.md): whether this query samples,
+    // the executor-armed trace (when the caller didn't bring one), and the
     // effective trace pointer the body installs (caller's or owned).
-    obs::trace_id tid{};
     bool sampled = false;
     std::unique_ptr<obs::query_trace> owned_trace;
     obs::query_trace* trace = nullptr;
     monotonic_time submit_t0;
-    double queued_micros = 0.0;
+    double queued_micros = 0.0;  // written by the thread that runs the job
     uint64_t epoch = 0;
     // Eligible for multi-BFS coalescing (set at submit: bfs_distance on a
     // non-mutable entry, no caller trace, batching enabled).
     bool batchable = false;
     std::chrono::steady_clock::time_point deadline_at =
         std::chrono::steady_clock::time_point::max();
-    // Whoever exchanges this false->true owns the promise; the loser (a
+    // Whoever exchanges this false->true settles the job; the loser (a
     // dispatcher finishing after the watchdog fired, or vice versa)
-    // discards its result.
+    // discards its outcome.
     std::atomic<bool> settled{false};
   };
   using job_ptr = std::shared_ptr<job>;
 
+  // What the settling thread knows about a job's run. The watchdog knows
+  // none of it: the job may still be running, and its trace belongs to the
+  // body until the body returns. `batch_id`/`batch_width` stamp members of
+  // a coalesced fan-out (0/0 = unbatched). `{}` zeroes every field.
+  struct run_info {
+    obs::query_trace* trace;
+    double queued_micros;
+    double exec_micros;
+    uint64_t batch_id;
+    uint32_t batch_width;
+  };
+  static run_info run_of(const job& j, double exec_micros,
+                         uint64_t batch_id = 0, uint32_t batch_width = 0) {
+    return {j.trace, j.queued_micros, exec_micros, batch_id, batch_width};
+  }
+
+  // Builds the job for `req` (trace id, sampling, graph handle, cache key,
+  // armed trace, deadline token). Returns null when the job already settled:
+  // unknown graph, or a cache hit.
+  job_ptr make_job(query_request req, query_callback done);
+  // submit() proper: make_job, then admission. A refusal (shed/rejected) is
+  // settled through the callback like any outcome, and its exception is
+  // also returned so the future adapter can throw it synchronously.
+  std::exception_ptr admit(query_request req, query_callback done);
+  // The one settlement path (see header comment). Returns false, doing
+  // nothing, when the job was already settled.
+  bool settle(job& j, query_outcome&& o, const run_info& run = {});
+  // Queued prologue shared by execute_job and execute_batch: stamps
+  // queued_micros, closes the queued span, and settles a job cancelled, or
+  // whose deadline or watchdog fired, while it waited. False when the job
+  // must not run.
+  bool start_job(job& j, uint64_t batch_id = 0, uint32_t batch_width = 0);
   void dispatcher_loop();
   void watchdog_loop();
-  // Runs one query (cache already missed), settling the promise unless the
-  // watchdog got there first. `scratch` is the calling dispatcher's
-  // edge_map round scratch, installed around the query body so every
-  // traversal round the query runs reuses it — a dispatcher's steady-state
-  // queries allocate no traversal working memory.
-  void execute_job(const job_ptr& j, edge_map_scratch* scratch);
-  // Settles `j` with `err` (if unsettled) and records the outcome in stats.
-  void settle_error(const job_ptr& j, std::exception_ptr err);
+  // Runs one query (cache already missed) and settles it. `scratch` is the
+  // calling dispatcher's edge_map round scratch, installed around the query
+  // body so every traversal round the query runs reuses it — a
+  // dispatcher's steady-state queries allocate no traversal working memory.
+  // `on_pool` injects the body into the work-stealing pool; run() passes
+  // false and the body runs on the calling thread.
+  void execute_job(const job_ptr& j, edge_map_scratch* scratch, bool on_pool);
   // Per-submission sampling draw against opts_.trace_sample_rate.
   bool draw_sample();
-  // Records a finished (or refused) query into the flight recorder and —
-  // when the retention rules say so (sampled, non-ok outcome, or
-  // exec >= slow_trace_micros) — the trace store. `trace` may be null
-  // (summary-only record); `r` may be null (error/refusal outcomes);
-  // `retry_after_ms` carries shed/rejected advice. No-op when observing()
-  // is false.
-  // `batch_id`/`batch_width` stamp records of queries served as members of
-  // a coalesced fan-out (0/0 = unbatched).
-  void observe_done(const obs::trace_id& tid, const query_request& req,
-                    bool sampled, obs::query_trace* trace, uint64_t epoch,
-                    double queued_micros, const char* outcome,
-                    double exec_micros, const query_result* r,
-                    const std::string& error, uint32_t retry_after_ms,
-                    uint64_t batch_id = 0, uint32_t batch_width = 0);
+  // Records a settled query into the flight recorder and — when the
+  // retention rules say so (sampled, non-ok outcome, or
+  // exec >= slow_trace_micros) — the trace store. A null run.trace gives a
+  // summary-only record. No-op when observing() is false.
+  void observe_done(const job& j, const query_outcome& o, const run_info& run);
   // Coalesced execution (docs/ENGINE.md "Batched execution"): runs a batch
   // of compatible bfs_distance jobs as one bit-parallel multi-BFS
   // (ligra/multi_bfs.h), settling every member individually — a member's

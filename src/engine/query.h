@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -145,5 +146,47 @@ struct query_result {
   // when observability is off. GET /traces/<tid> retrieves what was kept.
   obs::trace_id tid{};
 };
+
+// How a query ended. Each status maps 1:1 to a net::wire_status, so a
+// remote caller sees exactly what a local one does.
+enum class query_status : uint8_t {
+  ok,
+  cancelled,    // cancelled_error
+  deadline,     // deadline_exceeded_error
+  shed,         // shed_error (retry_after set)
+  rejected,     // rejected_error (retry_after set)
+  not_found,    // not_found_error
+  bad_request,  // std::invalid_argument: vertex out of range, ...
+  load,         // load_error / update_error
+  internal,     // anything else
+};
+
+// The outcome string flight-recorder entries and retained traces carry:
+// the status name, with bad_request/load/internal all reported as "error".
+const char* query_status_name(query_status s);
+
+// Every query the executor accepts settles exactly once, with one of these
+// (query_executor::submit's callback receives it).
+struct query_outcome {
+  query_status status = query_status::ok;
+  query_result result;  // ok only
+  std::string message;  // non-ok only
+  std::chrono::milliseconds retry_after{0};  // shed / rejected advice
+  // The exception the query threw, when it threw one; exception() hands it
+  // back so future and run() callers catch the exact type they always did.
+  std::exception_ptr error;
+
+  bool ok() const { return status == query_status::ok; }
+  // `error`, or a typed exception built from status and message.
+  std::exception_ptr exception() const;
+
+  static query_outcome failure(query_status s, std::string message,
+                               std::chrono::milliseconds retry_after = {});
+  // Classifies a thrown exception: the one place in the engine that maps
+  // exception types to a status.
+  static query_outcome from_exception(std::exception_ptr e);
+};
+
+using query_callback = std::function<void(query_outcome&&)>;
 
 }  // namespace ligra::engine

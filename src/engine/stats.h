@@ -37,12 +37,16 @@ struct query_kind_stats {
 // Point-in-time view of the executor. `queue_depth`/`running` are sampled;
 // the counters are monotone over the executor's lifetime.
 struct engine_stats_snapshot {
-  uint64_t submitted = 0;   // accepted submissions (incl. cache hits)
-  uint64_t completed = 0;   // futures fulfilled with a value
-  uint64_t failed = 0;      // futures fulfilled with an exception (other than below)
-  uint64_t rejected = 0;    // admission-queue rejections (queue full)
-  uint64_t cancelled = 0;   // futures settled with cancelled_error
-  uint64_t deadline_exceeded = 0;  // futures settled with deadline_exceeded_error
+  // Every submission (cache hits, refusals and run() calls included)
+  // settles under exactly one of the six outcome counters below, so
+  // submitted == completed + failed + rejected + cancelled +
+  // deadline_exceeded + shed once the executor is idle.
+  uint64_t submitted = 0;
+  uint64_t completed = 0;   // settled ok
+  uint64_t failed = 0;      // not_found, bad_request, load, internal
+  uint64_t rejected = 0;    // refused: queue full or draining
+  uint64_t cancelled = 0;   // settled with cancelled_error
+  uint64_t deadline_exceeded = 0;  // settled with deadline_exceeded_error
   uint64_t shed = 0;        // low-priority queries shed past the watermark
   size_t queue_depth = 0;   // admitted, not yet running
   size_t running = 0;       // currently executing
@@ -73,12 +77,20 @@ class engine_stats {
   }
 
   void record_submitted() { submitted_.inc(); }
-  void record_completed() { completed_.inc(); }
-  void record_failed() { failed_.inc(); }
-  void record_rejected() { rejected_.inc(); }
-  void record_cancelled() { cancelled_.inc(); }
-  void record_deadline_exceeded() { deadline_exceeded_.inc(); }
-  void record_shed() { shed_.inc(); }
+  // Counts one settled query under exactly one outcome counter.
+  void record_outcome(query_status s) {
+    switch (s) {
+      case query_status::ok: completed_.inc(); return;
+      case query_status::cancelled: cancelled_.inc(); return;
+      case query_status::deadline: deadline_exceeded_.inc(); return;
+      case query_status::shed: shed_.inc(); return;
+      case query_status::rejected: rejected_.inc(); return;
+      case query_status::not_found:
+      case query_status::bad_request:
+      case query_status::load:
+      case query_status::internal: failed_.inc(); return;
+    }
+  }
 
   void record_latency(query_kind kind, double micros) {
     latency_[static_cast<size_t>(kind)]->record(

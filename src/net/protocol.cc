@@ -339,6 +339,25 @@ wire_response make_response(uint64_t id, const engine::query_result& r) {
   return resp;
 }
 
+wire_response make_response(uint64_t id, const engine::query_outcome& o) {
+  using engine::query_status;
+  if (o.ok()) return make_response(id, o.result);
+  wire_status status = wire_status::internal;
+  switch (o.status) {
+    case query_status::ok: break;
+    case query_status::cancelled: status = wire_status::cancelled; break;
+    case query_status::deadline: status = wire_status::deadline; break;
+    case query_status::shed: status = wire_status::shed; break;
+    case query_status::rejected: status = wire_status::rejected; break;
+    case query_status::not_found: status = wire_status::not_found; break;
+    case query_status::bad_request: status = wire_status::bad_request; break;
+    case query_status::load: status = wire_status::load; break;
+    case query_status::internal: status = wire_status::internal; break;
+  }
+  return make_error_response(id, status, o.message,
+                             static_cast<uint32_t>(o.retry_after.count()));
+}
+
 wire_response make_error_response(uint64_t id, wire_status status,
                                   const std::string& message,
                                   uint32_t retry_after_ms) {

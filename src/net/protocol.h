@@ -176,11 +176,14 @@ wire_request decode_request(const char* payload, size_t len,
 wire_response decode_response(const char* payload, size_t len,
                               uint8_t flags = 0);
 
-// Maps an engine exception (or success) to the wire taxonomy; the server
-// uses these to build error frames, the client to rethrow. make_response
-// fills a response frame from a finished query; throw_if_error turns a
-// received error response back into the typed engine exception.
+// Moves between the engine's outcomes and the wire taxonomy. make_response
+// fills a response frame from a successful result, or from any settled
+// query_outcome (each engine::query_status maps to the wire_status of the
+// same name); the server builds every executor answer this way.
+// throw_if_error turns a received error response back into the typed
+// engine exception.
 wire_response make_response(uint64_t id, const engine::query_result& r);
+wire_response make_response(uint64_t id, const engine::query_outcome& o);
 wire_response make_error_response(uint64_t id, wire_status status,
                                   const std::string& message,
                                   uint32_t retry_after_ms = 0);

@@ -98,7 +98,6 @@ server::server(engine::query_executor& ex, server_options opts)
           &ex.metrics().get_counter("engine_net_http_requests_total")),
       h_request_micros_(
           &ex.metrics().get_histogram("engine_net_request_micros")) {
-  if (opts_.completion_threads == 0) opts_.completion_threads = 1;
   if (opts_.max_inflight_per_conn == 0) opts_.max_inflight_per_conn = 1;
 }
 
@@ -131,18 +130,13 @@ void server::start() {
   set_nonblocking(wake_rd_);
   set_nonblocking(wake_wr_);
 
+  outbox_ = std::make_shared<outbox>();
+  outbox_->wake_fd = wake_wr_;
+
   draining_.store(false);
   terminate_.store(false);
-  abandon_waits_.store(false);
-  {
-    std::lock_guard<std::mutex> lock(comp_mutex_);
-    comp_stop_ = false;
-  }
   running_.store(true, std::memory_order_release);
   event_thread_ = std::thread([this] { event_loop(); });
-  completion_threads_.reserve(opts_.completion_threads);
-  for (size_t i = 0; i < opts_.completion_threads; i++)
-    completion_threads_.emplace_back([this] { completion_loop(); });
 }
 
 void server::stop() {
@@ -158,46 +152,55 @@ void server::stop() {
   wake();
 
   // Phase 2: bounded drain — wait for every submitted query's response to
-  // be enqueued (queries the executor is still running hold this up).
+  // be posted (queries the executor is still running hold this up).
   {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait_until(lock,
-                         std::chrono::steady_clock::now() + opts_.drain_deadline,
-                         [this] { return inflight_total_ == 0; });
+    std::unique_lock<std::mutex> lock(outbox_->mu);
+    outbox_->drained.wait_until(
+        lock, std::chrono::steady_clock::now() + opts_.drain_deadline,
+        [this] { return outbox_->inflight == 0; });
   }
-  // Completion threads blocked on futures past the deadline abandon their
-  // waits (the executor still settles those futures; nobody reads them).
-  abandon_waits_.store(true, std::memory_order_release);
 
   // Phase 3: teardown. One last loop turn flushes what it can, then every
-  // socket closes.
+  // socket closes. Closing the outbox before the wake pipe means a query
+  // still running past the deadline settles into a closed outbox, never
+  // into a closed fd.
   terminate_.store(true, std::memory_order_release);
   wake();
   event_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(comp_mutex_);
-    comp_stop_ = true;
+    std::lock_guard<std::mutex> lock(outbox_->mu);
+    outbox_->open = false;
+    outbox_->frames.clear();
   }
-  comp_cv_.notify_all();
-  for (auto& t : completion_threads_) t.join();
-  completion_threads_.clear();
-
+  outbox_.reset();
   ::close(wake_rd_);
   ::close(wake_wr_);
   wake_rd_ = wake_wr_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(comp_mutex_);
-    comp_queue_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(outbox_mutex_);
-    outbox_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    inflight_total_ = 0;
-  }
   running_.store(false, std::memory_order_release);
+}
+
+void server::outbox::post(uint64_t conn_id, std::vector<char> frame) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (--inflight == 0) drained.notify_all();
+  if (!open) return;
+  frames.emplace_back(conn_id, std::move(frame));
+  char b = 1;
+  // Best-effort: a full pipe already guarantees a pending wake.
+  [[maybe_unused]] ssize_t n = ::write(wake_fd, &b, 1);
+}
+
+void server::drain_outbox() {
+  std::vector<std::pair<uint64_t, std::vector<char>>> ready;
+  {
+    std::lock_guard<std::mutex> lock(outbox_->mu);
+    ready.swap(outbox_->frames);
+  }
+  for (auto& [conn_id, frame] : ready) {
+    auto it = conns_.find(conn_id);
+    if (it == conns_.end()) continue;  // connection died first
+    if (it->second->inflight > 0) it->second->inflight--;
+    enqueue_frame(*it->second, std::move(frame));
+  }
 }
 
 size_t server::connections() const {
@@ -245,24 +248,10 @@ void server::event_loop() {
 
     ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 200);
 
-    // Wake pipe: drain it, then move finished responses from the outbox
-    // into per-connection output queues.
+    // Wake pipe: drain it; the outbox it announced is drained below.
     {
       char buf[256];
       while (::read(wake_rd_, buf, sizeof(buf)) > 0) {
-      }
-    }
-    {
-      std::vector<std::pair<uint64_t, std::vector<char>>> ready;
-      {
-        std::lock_guard<std::mutex> lock(outbox_mutex_);
-        ready.swap(outbox_);
-      }
-      for (auto& [conn_id, frame] : ready) {
-        auto it = conns_.find(conn_id);
-        if (it == conns_.end()) continue;  // connection died first
-        if (it->second->inflight > 0) it->second->inflight--;
-        enqueue_frame(*it->second, std::move(frame));
       }
     }
 
@@ -288,8 +277,11 @@ void server::event_loop() {
     }
     for (uint64_t id : to_close) close_connection(id);
 
-    // Eagerly flush connections whose output became ready via the outbox
-    // (their POLLOUT interest was registered before the frames existed).
+    // Move posted responses — including answers settled inline while the
+    // reads above submitted them (cache hits, refusals) — into their
+    // connections, then flush eagerly (their POLLOUT interest was
+    // registered before the frames existed).
+    drain_outbox();
     std::vector<uint64_t> flush_close;
     for (auto& [id, c] : conns_) {
       if (c->outq.empty()) continue;
@@ -455,100 +447,26 @@ void server::handle_request(connection& c, const frame_view& f) {
   if (wr.kind == engine::query_kind::update)
     req.updates = std::make_shared<dynamic::update_batch>(std::move(wr.updates));
 
-  try {
-    pending p;
-    p.conn_id = c.id;
-    p.request_id = wr.id;
-    p.tid = wr.tid;
-    p.t0 = mono_now();
-    p.fut = ex_.submit(std::move(req));
-    m_requests_->inc();
-    {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      inflight_total_++;
-    }
-    c.inflight++;
-    {
-      std::lock_guard<std::mutex> lock(comp_mutex_);
-      comp_queue_.push_back(std::move(p));
-    }
-    comp_cv_.notify_one();
-  } catch (const engine::shed_error& e) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::shed, e.what(),
-                                 static_cast<uint32_t>(e.retry_after.count())));
-  } catch (const engine::rejected_error& e) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::rejected, e.what(),
-                                 static_cast<uint32_t>(e.retry_after.count())));
-  } catch (const std::exception& e) {
-    enqueue_frame(c, error_frame(wr.id, wire_status::internal, e.what(), 0));
+  m_requests_->inc();
+  c.inflight++;
+  {
+    std::lock_guard<std::mutex> lock(outbox_->mu);
+    outbox_->inflight++;
   }
-}
-
-void server::completion_loop() {
-  using namespace std::chrono_literals;
-  for (;;) {
-    pending p;
-    {
-      std::unique_lock<std::mutex> lock(comp_mutex_);
-      comp_cv_.wait(lock, [this] { return comp_stop_ || !comp_queue_.empty(); });
-      if (comp_queue_.empty()) {
-        if (comp_stop_) return;
-        continue;
-      }
-      p = std::move(comp_queue_.front());
-      comp_queue_.pop_front();
-    }
-
-    bool abandoned = false;
-    while (p.fut.wait_for(50ms) != std::future_status::ready) {
-      if (abandon_waits_.load(std::memory_order_acquire)) {
-        abandoned = true;  // drain deadline passed; the future is orphaned
-        break;
-      }
-    }
-    if (!abandoned) {
-      wire_response resp;
-      try {
-        resp = make_response(p.request_id, p.fut.get());
-      } catch (const engine::cancelled_error& e) {
-        resp = make_error_response(p.request_id, wire_status::cancelled, e.what());
-      } catch (const engine::deadline_exceeded_error& e) {
-        resp = make_error_response(p.request_id, wire_status::deadline, e.what());
-      } catch (const engine::shed_error& e) {
-        resp = make_error_response(p.request_id, wire_status::shed, e.what(),
-                                   static_cast<uint32_t>(e.retry_after.count()));
-      } catch (const engine::rejected_error& e) {
-        resp = make_error_response(p.request_id, wire_status::rejected, e.what(),
-                                   static_cast<uint32_t>(e.retry_after.count()));
-      } catch (const engine::not_found_error& e) {
-        resp = make_error_response(p.request_id, wire_status::not_found, e.what());
-      } catch (const engine::load_error& e) {
-        resp = make_error_response(p.request_id, wire_status::load, e.what());
-      } catch (const engine::update_error& e) {
-        resp = make_error_response(p.request_id, wire_status::load, e.what());
-      } catch (const std::invalid_argument& e) {
-        resp = make_error_response(p.request_id, wire_status::bad_request,
-                                   e.what());
-      } catch (const std::exception& e) {
-        resp = make_error_response(p.request_id, wire_status::internal, e.what());
-      }
-      // Error responses carry the id too: make_response stamps it from the
-      // result, the catch arms above cannot — a deadline-exceeded caller
-      // needs exactly this id to fetch the post-mortem trace.
-      if (!resp.tid.valid()) resp.tid = p.tid;
-      h_request_micros_->record(micros_since(p.t0));
-      {
-        std::lock_guard<std::mutex> lock(outbox_mutex_);
-        outbox_.emplace_back(p.conn_id, encode_response_frame(resp));
-      }
-      wake();
-    }
-    {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      if (inflight_total_ > 0) inflight_total_--;
-      if (inflight_total_ == 0) drain_cv_.notify_all();
-    }
-  }
+  // Runs on whichever thread settles the query, possibly after this server
+  // is gone: it captures only the shared outbox and the executor-owned
+  // histogram, never `this`.
+  ex_.submit(std::move(req),
+             [box = outbox_, conn_id = c.id, id = wr.id, tid = wr.tid,
+              t0 = mono_now(),
+              h = h_request_micros_](engine::query_outcome&& o) {
+               wire_response resp = make_response(id, o);
+               // Error outcomes carry the id too: a deadline-exceeded caller
+               // needs exactly this id to fetch the post-mortem trace.
+               if (!resp.tid.valid()) resp.tid = tid;
+               h->record(micros_since(t0));
+               box->post(conn_id, encode_response_frame(resp));
+             });
 }
 
 void server::enqueue_frame(connection& c, std::vector<char> frame) {

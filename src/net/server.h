@@ -1,7 +1,7 @@
 // Network query server (docs/NETWORK.md): the connection tier that makes
 // the admission-controlled engine reachable over TCP.
 //
-// Architecture — three kinds of threads, none of them compute threads:
+// Architecture — one thread of its own, not a compute thread:
 //
 //   - One *event-loop* thread owns every socket: it poll()s the query and
 //     HTTP listeners plus all live connections, accepts, reads bytes,
@@ -10,14 +10,16 @@
 //     handed straight to the existing engine::query_executor, whose
 //     admission queue, shed watermark, per-kind caps, deadlines, and
 //     watchdog apply to network traffic exactly as they do to in-process
-//     callers. Immediate outcomes (shed, rejected, draining, per-connection
-//     in-flight cap, protocol errors) are answered from the loop without
-//     touching the executor.
-//   - A small pool of *completion* threads waits on submitted futures,
-//     converts results or typed engine errors into response frames, and
-//     posts them back to the event loop through an outbox + wake pipe (the
-//     loop alone touches sockets, so no socket ever sees two writers).
-//   - The executor's own dispatchers/pool run the query bodies, untouched.
+//     callers. Answers the server gives itself (draining, per-connection
+//     in-flight cap, protocol errors) never touch the executor.
+//   - Each submitted query carries a completion callback. Whichever thread
+//     settles the query runs it: the event loop itself (cache hit, shed,
+//     rejected, not_found), a dispatcher or pool worker (an answer, or a
+//     batch member settled mid-round), or the executor's watchdog (a
+//     deadline). The callback only maps the outcome to a response frame
+//     (make_response), pushes it to the outbox and wakes the loop through
+//     a pipe; the loop alone touches sockets, so no socket ever sees two
+//     writers, and no answer waits behind another.
 //
 // Responses may complete out of submission order on a pipelined
 // connection; the request's correlation id is echoed so clients match them
@@ -37,7 +39,9 @@
 // stop() is a graceful drain: listeners close first (no new connections),
 // new request frames are answered `shutting_down`, then stop() waits up to
 // drain_deadline for in-flight queries to finish before tearing sockets
-// down. Failpoints net.accept / net.read / net.write inject connection
+// down. A callback that fires later than that — after stop(), or after the
+// server is destroyed — finds the outbox closed and drops its frame.
+// Failpoints net.accept / net.read / net.write inject connection
 // faults at each I/O boundary (docs/ROBUSTNESS.md).
 #pragma once
 
@@ -46,7 +50,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,9 +74,6 @@ struct server_options {
   // Request frames in flight per connection before the server answers
   // `rejected` with retry_after advice instead of admitting more.
   size_t max_inflight_per_conn = 32;
-  // Threads waiting on executor futures; bounds how many blocked waits the
-  // server holds, not how many queries run (the executor does that).
-  size_t completion_threads = 2;
   size_t max_connections = 256;
   // How long stop() waits for in-flight queries before tearing down.
   std::chrono::milliseconds drain_deadline{5000};
@@ -89,7 +89,7 @@ class server {
   server(const server&) = delete;
   server& operator=(const server&) = delete;
 
-  // Binds the listeners and starts the event loop + completion threads.
+  // Binds the listeners and starts the event loop.
   // Throws std::runtime_error on bind/listen failure.
   void start();
 
@@ -118,20 +118,29 @@ class server {
     bool close_after_flush = false;
   };
 
-  // A submitted query whose future a completion thread is waiting on.
-  struct pending {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    // The query's correlation id (client-sent or server-minted) — stamped
-    // onto the response frame even when the future resolves to an error,
-    // so a remote caller can GET /traces/<id> post-mortem.
-    obs::trace_id tid{};
-    std::future<engine::query_result> fut;
-    monotonic_time t0;
+  // Where completion callbacks post response frames. Shared by the server
+  // and every callback in flight, and replaced on each start(): stop()
+  // closes it under its lock before closing the wake pipe, so a late
+  // callback never touches freed server state or a closed (possibly
+  // reused) fd.
+  struct outbox {
+    std::mutex mu;
+    std::condition_variable drained;  // inflight reached zero
+    bool open = true;
+    int wake_fd = -1;
+    // Queries submitted whose response has not been posted; stop() waits
+    // for this to reach zero.
+    size_t inflight = 0;
+    std::vector<std::pair<uint64_t, std::vector<char>>> frames;  // conn id
+
+    // Queues `frame` for connection `conn_id` and wakes the loop; drops it
+    // when the outbox is closed.
+    void post(uint64_t conn_id, std::vector<char> frame);
   };
 
   void event_loop();
-  void completion_loop();
+  // Moves posted responses into their connections' output queues.
+  void drain_outbox();
   void accept_ready(int listen_fd, bool http);
   // Reads until EAGAIN; returns false when the connection must close.
   bool read_ready(connection& c);
@@ -157,30 +166,13 @@ class server {
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> terminate_{false};
-  std::atomic<bool> abandon_waits_{false};
   std::thread event_thread_;
-  std::vector<std::thread> completion_threads_;
 
   // Event-loop-owned (no lock): live connections by id.
   std::unordered_map<uint64_t, std::unique_ptr<connection>> conns_;
   uint64_t next_conn_id_ = 1;
 
-  // Completion queue: event loop pushes pending futures, workers pop.
-  std::mutex comp_mutex_;
-  std::condition_variable comp_cv_;
-  std::deque<pending> comp_queue_;
-  bool comp_stop_ = false;
-
-  // Outbox: workers push finished response frames, the event loop drains
-  // them into per-connection output queues after a wake.
-  std::mutex outbox_mutex_;
-  std::vector<std::pair<uint64_t, std::vector<char>>> outbox_;
-
-  // Queries submitted to the executor whose responses have not been
-  // enqueued yet; stop() waits for this to reach zero.
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  size_t inflight_total_ = 0;
+  std::shared_ptr<outbox> outbox_;  // null while stopped
 
   std::mutex stop_mutex_;  // serializes stop() callers
 

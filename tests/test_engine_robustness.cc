@@ -2,15 +2,23 @@
 // futures on time (polling bodies and non-polling bodies alike), cancellation
 // works on every query kind, failed (re)loads keep the previous epoch serving
 // with zero collateral query failures, load shedding drops low-priority
-// traffic past the watermark, per-kind caps bound concurrency, and injected
-// cache/dispatch faults never corrupt query answers.
+// traffic past the watermark, per-kind caps bound concurrency, injected
+// cache/dispatch faults never corrupt query answers, and every outcome
+// settles exactly once, alike on submit(), run() and the wire.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,9 +26,13 @@
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "net/protocol.h"
+#include "net/server.h"
+#include "obs/flight_recorder.h"
 #include "util/failpoint.h"
 
 namespace e = ligra::engine;
+namespace n = ligra::net;
 namespace fp = ligra::util::failpoint;
 using namespace ligra;
 using namespace std::chrono_literals;
@@ -763,4 +775,337 @@ TEST_F(RobustnessTest, BatchFanoutFaultFailsMembersNotTheCoalescer) {
   for (auto& f : futs2) EXPECT_GE(f.get().value, -1);
   EXPECT_EQ(ex.metrics().get_counter("engine_batch_batches_total").value(),
             2u);
+}
+
+// --- one settlement path ----------------------------------------------------
+
+namespace {
+
+// How one query of the settlement mix ended, on one path: the wire status
+// the outcome maps to, the value, and the flight recorder's outcome string.
+struct settled_as {
+  n::wire_status status = n::wire_status::internal;
+  int64_t value = 0;
+  bool cache_hit = false;
+  std::string recorded;
+  int times = 0;  // callback invocations (submit path)
+};
+using settlement = std::map<std::string, settled_as>;
+
+// The mix: a name and a request per case, each with its own trace id so
+// its flight-recorder entry can be found.
+struct mix_case {
+  std::string name;
+  e::query_request req;
+};
+
+e::query_request bfs_query(vertex_id s, vertex_id t) {
+  e::query_request q;
+  q.graph = "g";
+  q.kind = e::query_kind::bfs_distance;
+  q.source = s;
+  q.target = t;
+  return q;
+}
+
+obs::trace_id case_tid(size_t i) { return obs::trace_id{7, i + 1}; }
+
+// Answered one at a time: ok, the same again (a cache hit), unknown graph,
+// vertex out of range.
+std::vector<mix_case> serial_mix() {
+  std::vector<mix_case> m = {{"ok", bfs_query(0, 5)},
+                             {"hit", bfs_query(0, 5)},
+                             {"not_found", bfs_query(0, 5)},
+                             {"range", bfs_query(1u << 20, 5)}};
+  m[2].req.graph = "nope";
+  return m;
+}
+
+// Queued behind a blocker on the executor's one dispatcher (max_queue 5,
+// shed_watermark 3): a 5 ms deadline the watchdog settles in the queue, a
+// batch of four bfs members (a duplicate pair and an invalid target), then
+// a low-priority query that sheds and a normal one the full queue rejects.
+std::vector<mix_case> queued_mix() {
+  std::vector<mix_case> m = {{"deadline", bfs_query(1, 6)},
+                             {"b1", bfs_query(2, 7)},
+                             {"b2", bfs_query(2, 7)},
+                             {"b3", bfs_query(3, 8)},
+                             {"b4", bfs_query(2, 100000)},
+                             {"shed", bfs_query(4, 9)},
+                             {"rejected", bfs_query(4, 10)}};
+  m[0].req.deadline = 5ms;
+  m[5].req.priority = e::query_priority::low;
+  return m;
+}
+
+e::executor_options mix_options(obs::flight_recorder* fr) {
+  e::executor_options o;
+  o.max_concurrency = 1;
+  o.max_queue = 5;
+  o.shed_watermark = 3;
+  o.use_pool = false;
+  o.flightrec = fr;
+  return o;
+}
+
+std::string recorded_outcome(const obs::flight_recorder& fr,
+                             const obs::trace_id& tid) {
+  for (const auto& e : fr.snapshot())
+    if (e.id == tid) return e.outcome;
+  return "(none)";
+}
+
+void expect_conserved(const e::engine_stats_snapshot& s) {
+  EXPECT_EQ(s.submitted, s.completed + s.failed + s.rejected + s.cancelled +
+                             s.deadline_exceeded + s.shed);
+}
+
+// Reads `count` response frames from a raw socket.
+std::vector<n::wire_response> read_frames(int fd, size_t count) {
+  std::vector<n::wire_response> out;
+  std::string buf;
+  char chunk[4096];
+  while (out.size() < count) {
+    size_t consumed = 0;
+    if (auto f = n::try_parse_frame(buf.data(), buf.size(), &consumed)) {
+      out.push_back(n::decode_response(f->payload, f->payload_len, f->flags));
+      buf.erase(0, consumed);
+      continue;
+    }
+    ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (got <= 0) break;
+    buf.append(chunk, static_cast<size_t>(got));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST_F(RobustnessTest, EveryOutcomeSettlesOnceAlikeOnEveryPath) {
+  const std::vector<mix_case> serial = serial_mix();
+  const std::vector<mix_case> queued = queued_mix();
+  auto tid_of = [&](const std::string& name) {
+    for (size_t i = 0; i < serial.size(); i++)
+      if (serial[i].name == name) return case_tid(i);
+    for (size_t i = 0; i < queued.size(); i++)
+      if (queued[i].name == name) return case_tid(serial.size() + i);
+    return obs::trace_id{};
+  };
+  auto with_tid = [&](const mix_case& c) {
+    e::query_request q = c.req;
+    q.tid = tid_of(c.name);
+    return q;
+  };
+  e::query_request cancelled = bfs_query(0, 9);
+  e::cancel_source cancel;
+  cancel.request_cancel();
+  cancelled.token = cancel.token();
+  cancelled.tid = obs::trace_id{8, 1};
+
+  // --- submit(): the callback API ------------------------------------------
+  settlement via_submit;
+  {
+    obs::flight_recorder fr(256);
+    e::registry reg;
+    reg.add("g", small_graph());
+    e::query_executor ex(reg, mix_options(&fr));
+    std::mutex mu;
+    auto submit = [&](const std::string& name, e::query_request q) {
+      ex.submit(std::move(q), [&, name](e::query_outcome&& o) {
+        std::lock_guard<std::mutex> lock(mu);
+        settled_as& s = via_submit[name];
+        s.status = n::make_response(0, o).status;
+        s.value = o.result.value;
+        s.cache_hit = o.result.cache_hit;
+        s.times++;
+      });
+    };
+    auto times = [&](const std::string& name) {
+      std::lock_guard<std::mutex> lock(mu);
+      return via_submit[name].times;
+    };
+    for (const mix_case& c : serial) {
+      submit(c.name, with_tid(c));
+      ex.wait_idle();
+    }
+    submit("cancelled", cancelled);
+    ex.wait_idle();
+
+    blocker b;
+    auto blocked = ex.submit(b.request("g"));
+    while (b.started.load() == 0) std::this_thread::yield();
+    for (const mix_case& c : queued) submit(c.name, with_tid(c));
+    while (times("deadline") == 0) std::this_thread::sleep_for(1ms);
+    b.release.set_value();
+    EXPECT_EQ(blocked.get().value, 7);
+    ex.wait_idle();
+
+    for (auto& [name, s] : via_submit) {
+      EXPECT_EQ(s.times, 1) << name << " must settle exactly once";
+      s.recorded = recorded_outcome(
+          fr, name == "cancelled" ? cancelled.tid : tid_of(name));
+    }
+    const auto snap = ex.stats();
+    expect_conserved(snap);
+    EXPECT_EQ(snap.submitted, 13u);
+    EXPECT_EQ(snap.completed, 6u);  // blocker, ok, hit, b1-b3
+    EXPECT_EQ(snap.failed, 3u);     // not_found, range, b4
+    EXPECT_EQ(snap.cancelled, 1u);
+    EXPECT_EQ(snap.deadline_exceeded, 1u);
+    EXPECT_EQ(snap.shed, 1u);
+    EXPECT_EQ(snap.rejected, 1u);
+  }
+
+  // --- run(): the same job, inline ----------------------------------------
+  settlement via_run;
+  {
+    obs::flight_recorder fr(256);
+    e::registry reg;
+    reg.add("g", small_graph());
+    e::query_executor ex(reg, mix_options(&fr));
+    auto run = [&](const std::string& name, const e::query_request& q) {
+      settled_as& s = via_run[name];
+      try {
+        e::query_result r = ex.run(q);
+        s.status = n::wire_status::ok;
+        s.value = r.value;
+        s.cache_hit = r.cache_hit;
+      } catch (...) {
+        s.status = n::make_response(0, e::query_outcome::from_exception(
+                                           std::current_exception()))
+                       .status;
+      }
+      s.recorded = recorded_outcome(fr, q.tid);
+    };
+    for (const mix_case& c : serial) run(c.name, with_tid(c));
+    run("cancelled", cancelled);
+    // run() has no queue: its members answer directly, its deadline is
+    // polled by the body.
+    for (const char* name : {"b1", "b3", "b4"})
+      for (const mix_case& c : queued)
+        if (c.name == name) run(name, with_tid(c));
+    e::query_request spin;
+    spin.graph = "g";
+    spin.kind = e::query_kind::custom;
+    spin.deadline = 5ms;
+    spin.tid = obs::trace_id{8, 2};
+    spin.custom = [](const e::graph_entry&, const e::cancel_token& t) {
+      for (;;) t.poll();
+      return int64_t{0};
+    };
+    run("deadline", spin);
+    expect_conserved(ex.stats());
+    EXPECT_EQ(ex.stats().submitted, 9u);
+  }
+
+  // --- loopback wire ------------------------------------------------------
+  settlement via_wire;
+  {
+    obs::flight_recorder fr(256);
+    e::registry reg;
+    reg.add("g", small_graph());
+    e::query_executor ex(reg, mix_options(&fr));
+    n::server srv(ex);
+    srv.start();
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_port = htons(srv.port());
+    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+    timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+    std::map<uint64_t, std::string> name_of;
+    auto frame = [&](const mix_case& c) {
+      const e::query_request q = with_tid(c);
+      n::wire_request w;
+      w.id = name_of.size() + 1;
+      w.kind = q.kind;
+      w.priority = q.priority;
+      w.graph = q.graph;
+      w.source = q.source;
+      w.target = q.target;
+      w.deadline_ms = static_cast<uint32_t>(q.deadline.count());
+      w.tid = q.tid;
+      name_of[w.id] = c.name;
+      return n::encode_request_frame(w);
+    };
+    auto record = [&](const std::vector<n::wire_response>& got) {
+      for (const n::wire_response& r : got) {
+        settled_as& s = via_wire[name_of[r.id]];
+        s.status = r.status;
+        s.value = r.value;
+        s.cache_hit = r.cache_hit;
+        s.times++;
+      }
+    };
+    auto send = [&](const std::vector<char>& bytes) {
+      ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(bytes.size()));
+    };
+    for (const mix_case& c : serial) {
+      send(frame(c));
+      record(read_frames(fd, 1));
+    }
+
+    blocker b;
+    auto blocked = ex.submit(b.request("g"));
+    while (b.started.load() == 0) std::this_thread::yield();
+    // One send: the event loop decodes and submits the frames in order.
+    std::vector<char> all;
+    for (const mix_case& c : queued) {
+      auto f = frame(c);
+      all.insert(all.end(), f.begin(), f.end());
+    }
+    send(all);
+    record(read_frames(fd, 3));  // shed, rejected, then the watchdog's
+    b.release.set_value();
+    EXPECT_EQ(blocked.get().value, 7);
+    record(read_frames(fd, 4));  // the batch
+    ::close(fd);
+    ex.wait_idle();
+    srv.stop();
+
+    for (auto& [name, s] : via_wire) {
+      EXPECT_EQ(s.times, 1) << name << " must be answered exactly once";
+      s.recorded = recorded_outcome(fr, tid_of(name));
+    }
+    const auto snap = ex.stats();
+    expect_conserved(snap);
+    EXPECT_EQ(snap.submitted, 12u);
+  }
+
+  // --- every path agrees ---------------------------------------------------
+  const std::map<std::string, std::pair<n::wire_status, std::string>> want = {
+      {"ok", {n::wire_status::ok, "ok"}},
+      {"hit", {n::wire_status::ok, "ok"}},
+      {"not_found", {n::wire_status::not_found, "not_found"}},
+      {"range", {n::wire_status::bad_request, "error"}},
+      {"cancelled", {n::wire_status::cancelled, "cancelled"}},
+      {"deadline", {n::wire_status::deadline, "deadline"}},
+      {"b1", {n::wire_status::ok, "ok"}},
+      {"b2", {n::wire_status::ok, "ok"}},
+      {"b3", {n::wire_status::ok, "ok"}},
+      {"b4", {n::wire_status::bad_request, "error"}},
+      {"shed", {n::wire_status::shed, "shed"}},
+      {"rejected", {n::wire_status::rejected, "rejected"}},
+  };
+  for (const settlement* path : {&via_submit, &via_run, &via_wire}) {
+    for (const auto& [name, s] : *path) {
+      ASSERT_TRUE(want.count(name)) << name;
+      EXPECT_EQ(s.status, want.at(name).first) << name;
+      EXPECT_EQ(s.recorded, want.at(name).second) << name;
+      if (s.status != n::wire_status::ok) continue;
+      // Same answer as run() gives for the same request.
+      EXPECT_EQ(s.value, via_run.count(name) ? via_run.at(name).value
+                                             : via_run.at("b1").value)
+          << name;
+    }
+  }
+  EXPECT_EQ(via_submit.size(), 12u);
+  EXPECT_EQ(via_wire.size(), 11u);  // a token cannot cross the wire
+  for (const settlement* path : {&via_submit, &via_run, &via_wire})
+    EXPECT_TRUE(path->at("hit").cache_hit);
 }

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -720,6 +721,89 @@ TEST_F(NetTest, GracefulStopDrainsAndRefusesNewWork) {
   again.connect("127.0.0.1", srv.port());
   EXPECT_NO_THROW(again.run(bfs_request(0, 0, 3)));
   srv.stop();
+}
+
+// Head-of-line: an answer settles straight into the outbox from whichever
+// thread settles it, so a cache hit never waits for slower answers on
+// other connections to finish first.
+TEST_F(NetTest, CachedAnswerDoesNotWaitBehindSlowQueries) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  e::registry reg;
+  reg.add("g", small_graph());
+  e::query_executor ex(reg, {.max_concurrency = 2, .batch_max = 1});
+  n::server srv(ex);
+  srv.start();
+  n::client a, b, c;
+  a.connect("127.0.0.1", srv.port());
+  b.connect("127.0.0.1", srv.port());
+  c.connect("127.0.0.1", srv.port());
+  EXPECT_FALSE(c.run(bfs_request(0, 0, 5)).cache_hit);  // warms C's answer
+
+  // A and B each hold a dispatcher for 300 ms before their body runs.
+  fp::spec slow;
+  slow.act = fp::action::sleep_ms;
+  slow.sleep_millis = 300;
+  slow.count = 2;
+  const uint64_t hits0 = fp::hits("executor.dispatch");
+  fp::arm("executor.dispatch", slow);
+  auto ra = std::async(std::launch::async,
+                       [&] { return a.run(bfs_request(0, 1, 6)); });
+  auto rb = std::async(std::launch::async,
+                       [&] { return b.run(bfs_request(0, 2, 7)); });
+  while (fp::hits("executor.dispatch") < hits0 + 2)
+    std::this_thread::sleep_for(1ms);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(c.run(bfs_request(0, 0, 5)).cache_hit);
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_LT(waited_ms, 100.0) << "the cache hit waited behind A and B";
+  EXPECT_GE(ra.get().value, -1);
+  EXPECT_GE(rb.get().value, -1);
+  srv.stop();
+}
+
+// A query still running when stop() gives up on it settles later into the
+// closed outbox: it must touch neither the destroyed server nor its closed
+// wake pipe (ASan/TSan builds check). The same server restarts and serves.
+TEST_F(NetTest, LateAnswerAfterStopAndDestroyIsDropped) {
+  e::registry reg;
+  reg.add("g", small_graph());
+  e::query_executor ex(reg, {.max_concurrency = 1, .use_pool = false});
+  n::server_options sopts;
+  sopts.drain_deadline = 50ms;
+  auto srv = std::make_unique<n::server>(ex, sopts);
+  srv->start();
+  n::client warm;
+  warm.connect("127.0.0.1", srv->port());
+  warm.run(bfs_request(0, 0, 3));  // cached: answerable while blocked
+
+  blocker b;
+  auto blocked = ex.submit(b.request("g"));
+  while (b.started.load() == 0) std::this_thread::yield();
+  const int fd = raw_connect(srv->port());
+  auto held = n::encode_request_frame(bfs_request(55, 1, 4));
+  raw_send(fd, held.data(), held.size());
+  while (ex.queue_depth() == 0) std::this_thread::sleep_for(1ms);
+
+  srv->stop();  // the drain deadline passes with the query still queued
+  EXPECT_EQ(ex.queue_depth(), 1u);
+  ::close(fd);
+
+  // stop -> start -> query on the same server.
+  srv->start();
+  n::client again;
+  again.connect("127.0.0.1", srv->port());
+  EXPECT_TRUE(again.run(bfs_request(0, 0, 3)).cache_hit);
+  srv->stop();
+  srv.reset();
+
+  b.release.set_value();  // the held query now settles, after the server
+  EXPECT_EQ(blocked.get().value, 7);
+  ex.wait_idle();
+  const auto snap = ex.stats();
+  EXPECT_EQ(snap.submitted, snap.completed);
 }
 
 // --- query tracing over the wire (docs/OBSERVABILITY.md) --------------------
