@@ -5,7 +5,7 @@
 //   1. Update throughput — batches of random inserts/deletes chained
 //      through `mutable_graph::apply` (store only) and through
 //      `registry::apply_updates` (full epoch publish: apply + incremental
-//      CC + incremental PageRank + registry swap). Reported as updates/sec.
+//      CC + registry swap). Reported as updates/sec.
 //
 //   2. Incremental vs full recompute — for batches at ~0.5% of the edge
 //      count, `components_inc` / `pagerank_delta_inc` seeded from the

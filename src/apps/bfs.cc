@@ -64,40 +64,4 @@ std::vector<vertex_id> bfs_parents(const graph& g, vertex_id source) {
   return bfs(g, source).parents;
 }
 
-std::vector<int64_t> bfs_levels(const graph& g, vertex_id source,
-                                const std::function<void()>& poll) {
-  if (source >= g.num_vertices())
-    throw std::invalid_argument("bfs_levels: source out of range");
-  std::vector<int64_t> level(g.num_vertices(), -1);
-  level[source] = 0;
-
-  struct level_f {
-    int64_t* level;
-    int64_t round;
-    bool update(vertex_id, vertex_id v) const {
-      if (level[v] == -1) {
-        level[v] = round;
-        return true;
-      }
-      return false;
-    }
-    bool update_atomic(vertex_id, vertex_id v) const {
-      return compare_and_swap(&level[v], int64_t{-1}, round);
-    }
-    bool cond(vertex_id v) const { return atomic_load(&level[v]) == -1; }
-  };
-
-  vertex_subset frontier(g.num_vertices(), source);
-  edge_map_scratch scratch;
-  edge_map_options opts;
-  opts.scratch = &scratch;
-  int64_t round = 0;
-  while (!frontier.empty()) {
-    if (poll) poll();
-    round++;
-    frontier = edge_map(g, frontier, level_f{level.data(), round}, opts);
-  }
-  return level;
-}
-
 }  // namespace ligra::apps

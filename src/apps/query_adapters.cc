@@ -1,46 +1,15 @@
 #include "apps/query_adapters.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
-#include <stdexcept>
-#include <string>
 
 #include "apps/bellman_ford.h"
-#include "apps/bfs.h"
 #include "apps/components.h"
 #include "apps/kcore.h"
 #include "apps/pagerank.h"
 #include "apps/triangle.h"
-#include "obs/trace.h"
 
 namespace ligra::apps {
-
-namespace {
-
-void check_vertex(const char* what, vertex_id v, vertex_id n) {
-  if (v >= n)
-    throw std::invalid_argument(std::string(what) + ": vertex " +
-                                std::to_string(v) + " out of range [0, " +
-                                std::to_string(n) + ")");
-}
-
-// An inactive token yields an empty poll hook so the apps skip the
-// per-round branch entirely.
-std::function<void()> poll_of(const engine::cancel_token& cancel) {
-  if (!cancel.active()) return {};
-  return [cancel] { cancel.poll(); };
-}
-
-}  // namespace
-
-int64_t bfs_hop_distance(const graph& g, vertex_id source, vertex_id target,
-                         const engine::cancel_token& cancel) {
-  check_vertex("bfs_hop_distance source", source, g.num_vertices());
-  check_vertex("bfs_hop_distance target", target, g.num_vertices());
-  obs::span_scope rounds("rounds");
-  return bfs_levels(g, source, poll_of(cancel))[target];
-}
 
 int64_t sssp_distance(const wgraph& g, vertex_id source, vertex_id target,
                       const engine::cancel_token& cancel) {

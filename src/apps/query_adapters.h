@@ -11,17 +11,45 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/bfs.h"
 #include "engine/cancel.h"
 #include "graph/graph.h"
+#include "obs/trace.h"
 
 namespace ligra::apps {
 
-// Hop distance from `source` to `target` (BFS); -1 if unreachable.
-int64_t bfs_hop_distance(const graph& g, vertex_id source, vertex_id target,
-                         const engine::cancel_token& cancel = {});
+// Throws std::invalid_argument naming `what` when v is not in [0, n).
+inline void check_vertex(const char* what, vertex_id v, vertex_id n) {
+  if (v >= n)
+    throw std::invalid_argument(std::string(what) + ": vertex " +
+                                std::to_string(v) + " out of range [0, " +
+                                std::to_string(n) + ")");
+}
+
+// Round-boundary poll hook for `cancel`. An inactive token yields an empty
+// hook, so the apps skip the per-round branch entirely.
+inline std::function<void()> poll_of(const engine::cancel_token& cancel) {
+  if (!cancel.active()) return {};
+  return [cancel] { cancel.poll(); };
+}
+
+// Hop distance from `source` to `target`; -1 if unreachable. Runs
+// bfs_levels only until the round that reaches `target`, over any edge_map
+// graph — the CSR or a dynamic::mutable_graph view.
+template <class G>
+int64_t bfs_hop_distance(const G& g, vertex_id source, vertex_id target,
+                         const engine::cancel_token& cancel = {}) {
+  check_vertex("bfs_hop_distance source", source, g.num_vertices());
+  check_vertex("bfs_hop_distance target", target, g.num_vertices());
+  obs::span_scope rounds("rounds");
+  return bfs_levels(g, source, poll_of(cancel), target)[target];
+}
 
 // Shortest-path weight from `source` to `target` (Bellman-Ford, so negative
 // weights are fine); -1 if unreachable. Throws std::runtime_error if the
@@ -36,8 +64,8 @@ std::vector<std::pair<vertex_id, double>> pagerank_topk(
 
 // pagerank_topk's extraction phase over an arbitrary rank vector — rank
 // descending, ties broken by vertex id, k clamped to rank.size(). Exposed
-// so the engine can serve top-k straight from a mutable entry's converged
-// per-epoch ranks without rerunning PageRank.
+// so the engine can serve top-k from an epoch's PageRank view without
+// rerunning PageRank.
 std::vector<std::pair<vertex_id, double>> topk_ranks(
     const std::vector<double>& rank, size_t k);
 

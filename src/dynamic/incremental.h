@@ -1,12 +1,13 @@
 // Incremental recompute over the mutable graph view (docs/DYNAMIC.md).
 //
-// After a batch publishes, the engine does not rerun its analytics from
-// scratch: `components_inc` and `pagerank_delta_inc` start from the
-// previous epoch's converged state and seed their frontiers from only the
-// endpoints the batch actually touched, so the per-batch work scales with
-// the size and impact of the batch rather than the graph. Both run the
-// standard Ligra kernels (edge_map / vertex_filter) directly over the
-// base+delta view — no materialization.
+// `components_inc` and `pagerank_delta_inc` start from the previous
+// epoch's converged state and seed their frontiers from only the endpoints
+// a batch actually touched, so the per-batch work scales with the size and
+// impact of the batch rather than the graph. Both run the standard Ligra
+// kernels (edge_map / vertex_filter) directly over the base+delta view —
+// no materialization. After each batch the engine's registry runs
+// `components_inc`; `pagerank_delta_inc` is a library call for callers
+// that keep ranks across batches themselves.
 //
 //   * components_inc — insert endpoints seed min-label propagation (merges
 //     only ever lower labels). For each effective delete, a bounded
@@ -23,8 +24,10 @@
 //     the configured tolerances of the true fixpoint.
 //
 // `inc_state` is the per-epoch converged state the engine's registry keeps
-// alongside each mutable graph entry; `bfs_hop_distance` serves point
-// lookups by traversing the live view directly.
+// alongside each mutable graph entry: the components only. PageRank is not
+// maintained there; a mutable epoch builds its PageRank view on first read,
+// like a static one. Point BFS runs apps::bfs_hop_distance over the live
+// view directly.
 #pragma once
 
 #include <functional>
@@ -32,6 +35,7 @@
 
 #include "apps/components.h"
 #include "apps/pagerank.h"
+#include "apps/query_adapters.h"
 #include "dynamic/mutable_graph.h"
 #include "graph/graph.h"
 #include "ligra/edge_map.h"
@@ -42,11 +46,10 @@ namespace ligra::dynamic {
 struct inc_state {
   std::vector<vertex_id> cc_labels;
   size_t cc_components = 0;
-  std::vector<double> pr_rank;
 };
 
-// PageRank-delta settings used for epoch-state maintenance: tight enough
-// that chained incremental refreshes stay close to the true fixpoint
+// PageRank-delta settings for chaining pagerank_delta_inc across batches:
+// tight enough that chained refreshes stay close to the true fixpoint
 // (looser settings would accumulate truncation error across batches).
 apps::pagerank_delta_options maintenance_pr_options();
 
@@ -69,10 +72,7 @@ apps::pagerank_result pagerank_delta_inc(
     const std::vector<edge>& deleted,
     const apps::pagerank_delta_options& opts = maintenance_pr_options());
 
-// Hop distance source -> target on the live view; -1 if unreachable.
-// Direction-optimizing BFS via edge_map over base+delta.
-int64_t bfs_hop_distance(const mutable_graph& g, vertex_id source,
-                         vertex_id target,
-                         const std::function<void()>& poll = {});
+// Point BFS on the live view is the static adapter itself.
+using apps::bfs_hop_distance;
 
 }  // namespace ligra::dynamic

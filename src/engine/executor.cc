@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "apps/query_adapters.h"
-#include "dynamic/incremental.h"
 #include "ligra/edge_map.h"
 #include "ligra/multi_bfs.h"
 #include "obs/flight_recorder.h"
@@ -106,12 +105,7 @@ std::exception_ptr query_outcome::exception() const {
 
 namespace {
 
-void check_vertex(const char* what, vertex_id v, vertex_id n) {
-  if (v >= n)
-    throw std::invalid_argument(std::string(what) + ": vertex " +
-                                std::to_string(v) + " out of range [0, " +
-                                std::to_string(n) + ")");
-}
+using apps::check_vertex;
 
 // A settled answer read back from the result cache.
 query_outcome from_cache(const query_result& cached, const obs::trace_id& tid) {
@@ -121,13 +115,6 @@ query_outcome from_cache(const query_result& cached, const obs::trace_id& tid) {
   o.result.micros = 0.0;
   o.result.tid = tid;
   return o;
-}
-
-// Round-boundary poll hook for the dynamic traversals (same shape the app
-// adapters use); empty for inactive tokens so the per-round branch is free.
-std::function<void()> poll_of(const cancel_token& token) {
-  if (!token.active()) return {};
-  return [token] { token.poll(); };
 }
 
 }  // namespace
@@ -213,19 +200,13 @@ query_result query_executor::execute(const query_request& req,
   query_result r;
   r.kind = req.kind;
   // cc, coreness and top-k read the entry's per-epoch derived views, built
-  // once per epoch on first touch. Only BFS depends on mutability: mutable
-  // entries traverse the live base+delta view instead of a CSR.
+  // once per epoch on first touch. BFS traverses the resident graph, which
+  // for a mutable entry is its live base+delta view.
   switch (req.kind) {
     case query_kind::bfs_distance:
-      if (e.is_mutable()) {
-        check_vertex("bfs_hop_distance source", req.source, e.num_vertices());
-        check_vertex("bfs_hop_distance target", req.target, e.num_vertices());
-        r.value = dynamic::bfs_hop_distance(*e.dyn(), req.source, req.target,
-                                            poll_of(token));
-      } else {
-        r.value = apps::bfs_hop_distance(e.structure(), req.source, req.target,
-                                         token);
-      }
+      r.value = e.with_graph([&](const auto& g) {
+        return apps::bfs_hop_distance(g, req.source, req.target, token);
+      });
       break;
     case query_kind::sssp_distance:
       r.value = apps::sssp_distance(e.weights(), req.source, req.target, token);

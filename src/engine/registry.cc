@@ -10,6 +10,7 @@
 #include "apps/components.h"
 #include "apps/kcore.h"
 #include "apps/pagerank.h"
+#include "apps/query_adapters.h"
 #include "graph/graph_io.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -58,13 +59,6 @@ std::chrono::milliseconds backoff_for(const retry_options& r, size_t attempt) {
   return std::chrono::milliseconds(ms - half + jitter);
 }
 
-// Round-boundary poll hook for a view build; empty for inactive tokens so
-// the apps skip the per-round branch.
-std::function<void()> poll_of(const cancel_token& token) {
-  if (!token.active()) return {};
-  return [token] { token.poll(); };
-}
-
 const char* view_kind_name(view_kind v) {
   switch (v) {
     case view_kind::cc:
@@ -93,7 +87,7 @@ const std::vector<T>& graph_entry::touch(derived_view<T>& view, view_kind kind,
       token,
       [&] {
         obs::span_scope span("build_view");
-        return build(poll_of(token));
+        return build(apps::poll_of(token));
       },
       &built);
   if (built && observer_ != nullptr) {
@@ -121,7 +115,6 @@ const std::vector<vertex_id>& graph_entry::coreness_view(
 
 const std::vector<double>& graph_entry::pagerank_view(
     const cancel_token& token) const {
-  if (inc_) return inc_->pr_rank;
   return touch(pagerank_, view_kind::pagerank, token,
                [this](const auto& poll) {
                  apps::pagerank_options opts;
@@ -301,17 +294,14 @@ graph_handle registry::register_mutable(
     const std::string& name,
     std::shared_ptr<const dynamic::mutable_graph> view,
     std::shared_ptr<dynamic::durable_store> store) {
-  // Seed the epoch's converged analytics with one full run of each; every
-  // later epoch refreshes them incrementally from the batch's footprint.
+  // Seed the epoch's components with one full run; every later epoch
+  // refreshes them incrementally from the batch's footprint.
   auto inc = std::make_shared<dynamic::inc_state>();
   {
     apps::components_result cc = apps::connected_components(view->base());
     inc->cc_labels = std::move(cc.labels);
     inc->cc_components = cc.num_components;
   }
-  inc->pr_rank =
-      apps::pagerank_delta(view->base(), dynamic::maintenance_pr_options())
-          .rank;
   auto e = std::make_shared<graph_entry>();
   e->name_ = name;
   e->dyn_ = std::move(view);
@@ -419,10 +409,6 @@ graph_handle registry::apply_once(const std::string& name,
     inc->cc_labels = std::move(cc.labels);
     inc->cc_components = cc.num_components;
   }
-  inc->pr_rank = dynamic::pagerank_delta_inc(ap.next, *cur->dyn(),
-                                             cur->inc()->pr_rank, ap.inserted,
-                                             ap.deleted)
-                     .rank;
   auto e = std::make_shared<graph_entry>();
   e->name_ = name;
   e->dyn_ = std::make_shared<const dynamic::mutable_graph>(std::move(ap.next));

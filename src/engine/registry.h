@@ -110,11 +110,11 @@ class graph_entry {
 
   // True for entries registered via registry::add_mutable: the resident
   // graph is a dynamic::mutable_graph version and this entry carries the
-  // epoch's converged incremental state alongside it.
+  // epoch's maintained components alongside it.
   bool is_mutable() const { return dyn_ != nullptr; }
   // The live base+delta view (nullptr for plain entries).
   const dynamic::mutable_graph* dyn() const { return dyn_.get(); }
-  // Converged per-epoch analytics (nullptr for plain entries).
+  // Maintained per-epoch components (nullptr for plain entries).
   const dynamic::inc_state* inc() const { return inc_.get(); }
 
   // Vertex/edge counts without materializing anything (mutable entries
@@ -125,13 +125,23 @@ class graph_entry {
   edge_id num_edges() const { return dyn_ ? dyn_->num_edges() : g_.num_edges(); }
 
   // Unweighted structural view. For mutable entries the merged CSR is
-  // materialized lazily on first use (CSR-only queries — k-core, triangles
-  // — on a freshly updated graph) and cached for the entry's lifetime; the
-  // entry is immutable either way, so concurrent callers are safe.
+  // materialized lazily on first use (CSR-only work — k-core, triangles,
+  // the PageRank view — on a freshly updated graph) and cached for the
+  // entry's lifetime; the entry is immutable either way, so concurrent
+  // callers are safe.
   const graph& structure() const {
     if (dyn_ == nullptr) return g_;
     std::call_once(mat_once_, [this] { mat_ = dyn_->materialize(); });
     return *mat_;
+  }
+
+  // Calls f with the resident graph: the live base+delta view for mutable
+  // entries, the structural CSR otherwise — never a materialized copy. f
+  // takes `const auto&` and returns the same type for both.
+  template <class F>
+  decltype(auto) with_graph(F&& f) const {
+    if (dyn_) return f(*dyn_);
+    return f(g_);
   }
 
   // Weighted CSR; throws engine_error for unweighted entries.
@@ -145,8 +155,8 @@ class graph_entry {
   // query. Each is built lazily on first touch under `token` and
   // single-flighted (engine/derived_view.h); a cancelled or failed build
   // leaves the view unbuilt for the next touch. Mutable entries answer
-  // cc and PageRank from the epoch's converged incremental state, which
-  // *is* their view; their coreness is built lazily like the rest. A view
+  // cc from the epoch's maintained labels, which *are* their view; their
+  // coreness and PageRank are built lazily like a static entry's. A view
   // lives and dies with its entry, so it never outlives its epoch.
   const std::vector<vertex_id>& cc_view(const cancel_token& token = {}) const;
   const std::vector<vertex_id>& coreness_view(
@@ -155,7 +165,7 @@ class graph_entry {
       const cancel_token& token = {}) const;
 
   // Resident footprint: plain CSR (+ weighted CSR) for static entries,
-  // base CSR + overlay + incremental state for mutable ones, plus every
+  // base CSR + overlay + maintained labels for mutable ones, plus every
   // derived view built so far (each publishes its size through an atomic
   // once built). Deliberately excludes the lazily materialized structural
   // view — reading its presence here would race with a concurrent first
@@ -165,8 +175,7 @@ class graph_entry {
                          pagerank_.memory_bytes();
     if (dyn_)
       return dyn_->memory_bytes() +
-             inc_->cc_labels.capacity() * sizeof(vertex_id) +
-             inc_->pr_rank.capacity() * sizeof(double) + views;
+             inc_->cc_labels.capacity() * sizeof(vertex_id) + views;
     return g_.memory_bytes() + (wg_ ? wg_->memory_bytes() : 0) + views;
   }
 
@@ -188,7 +197,7 @@ class graph_entry {
   mutable std::optional<graph> mat_;  // lazy merged CSR (mutable entries)
   mutable derived_view<vertex_id> cc_;  // immutable entries only
   mutable derived_view<vertex_id> coreness_;
-  mutable derived_view<double> pagerank_;  // immutable entries only
+  mutable derived_view<double> pagerank_;
   // Where view builds are reported; null when the registry publishes no
   // metrics. Shared with the registry, which clears it on destruction, so
   // an entry that outlives its registry just stops reporting.
@@ -239,11 +248,10 @@ class registry {
   graph_handle add(const std::string& name, wgraph g);
 
   // Registers `g` as a *mutable* graph: the entry carries a
-  // dynamic::mutable_graph view plus converged incremental state (connected
-  // components + PageRank), both refreshed incrementally by apply_updates.
-  // Requires a symmetric graph; throws std::invalid_argument otherwise.
-  // Seeding runs the full algorithms once, so this costs one CC + one
-  // PageRank on top of add().
+  // dynamic::mutable_graph view plus its connected components, refreshed
+  // incrementally by apply_updates. Requires a symmetric graph; throws
+  // std::invalid_argument otherwise. Seeding runs one full CC on top of
+  // add().
   graph_handle add_mutable(const std::string& name, graph g,
                            dynamic::mutable_graph_options opts = {});
 

@@ -3,8 +3,9 @@
 //   vertex_map(U, F)    applies F(v) to every v in U, in parallel.
 //   vertex_filter(U, F) additionally returns { v in U : F(v) }.
 //
-// F must be safe to call concurrently for distinct vertices (each member is
-// visited exactly once, so no atomicity is needed for per-vertex state).
+// F must be safe to call concurrently for distinct vertices. Each member is
+// visited exactly once, so F may have side effects on per-vertex state
+// without atomics.
 #pragma once
 
 #include <bit>
@@ -53,10 +54,16 @@ vertex_subset vertex_filter(const vertex_subset& subset, F&& f) {
     });
     return vertex_subset::from_bitmap(n, std::move(out));
   }
+  // pack may evaluate its predicate twice per index, so f runs once per
+  // member into flags and pack reads the flags.
   const auto& ids = subset.sparse();
+  std::vector<uint8_t> keep(ids.size());
+  parallel::parallel_for(0, ids.size(), [&](size_t i) {
+    keep[i] = f(ids[i]) ? 1 : 0;
+  });
   auto out = parallel::pack(
       ids.size(), [&](size_t i) { return ids[i]; },
-      [&](size_t i) { return static_cast<bool>(f(ids[i])); });
+      [&](size_t i) { return keep[i] != 0; });
   return vertex_subset(n, std::move(out));
 }
 

@@ -154,6 +154,8 @@ T scan_add_inplace(std::vector<T>& data) {
 
 // Returns get(i) for each i in [0, n) with pred(i), preserving index order.
 // Two-pass: per-block count, scan, per-block write at the right offset.
+// Above one block pred(i) therefore runs twice per index, so it must be
+// pure: a predicate with side effects belongs in a flag pass first.
 template <class Get, class Pred>
 auto pack(size_t n, Get&& get, Pred&& pred)
     -> std::vector<std::decay_t<decltype(get(size_t{0}))>> {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/pagerank.h"
 #include "apps/query_adapters.h"
 #include "baseline/serial.h"
 #include "engine/derived_view.h"
@@ -332,12 +333,10 @@ TEST(EngineViews, PointAnswersMatchSerialOracles) {
           const graph live = h->dyn()->materialize();
           expect_points_match(ex, "m", live,
                               what + " mutable batch " + std::to_string(b));
-          // Mutable top-k is served from the epoch's maintained PageRank
-          // (dynamic::pagerank_delta_inc), which only approximates the
-          // oracle and drifts over many batches (a known defect tracked in
-          // ROADMAP.md); check it reads exactly that view.
+          // Mutable top-k reads the epoch's PageRank view, built by the
+          // same apps::pagerank as a static epoch's.
           EXPECT_EQ(ex.run(topk("m", 10)).topk,
-                    apps::topk_ranks(h->inc()->pr_rank, 10))
+                    apps::topk_ranks(apps::pagerank(live).rank, 10))
               << what;
         }
       }
@@ -381,4 +380,44 @@ TEST(EngineViews, ReloadAnswersFromTheNewEpoch) {
   EXPECT_EQ(old_entry->cc_view()[39], 0u);
   EXPECT_EQ(old_entry->coreness_view()[39], 1u);
   EXPECT_EQ(builds(m, "cc"), 2u);
+}
+
+// (e) A mutable entry does no PageRank work on writes: add_mutable and
+// update batches build no PageRank view, and each epoch that gets a top-k
+// read builds its own view once, equal to PageRank of that epoch's graph.
+TEST(EngineViews, MutablePagerankViewBuildsOnlyOnTopkRead) {
+  obs::metrics_registry m;
+  e::registry reg(&m);
+  e::query_executor ex(reg, {.cache_capacity = 0});
+  reg.add_mutable("m", gen::rmat_graph(9, 1 << 12, /*seed=*/131));
+  auto update = [&](uint64_t seed) {
+    e::query_request up;
+    up.graph = "m";
+    up.kind = e::query_kind::update;
+    up.updates = std::make_shared<dyn::update_batch>(
+        random_batch(reg.get("m")->dyn()->materialize(), seed));
+    ex.run(up);
+  };
+  auto expect_topk = [&](const std::string& what) {
+    const graph live = reg.get("m")->dyn()->materialize();
+    EXPECT_EQ(ex.run(topk("m", 10)).topk,
+              apps::topk_ranks(apps::pagerank(live).rank, 10))
+        << what;
+  };
+  EXPECT_EQ(builds(m, "pagerank"), 0u);
+  for (uint64_t b = 0; b < 3; b++) update(b);
+  EXPECT_EQ(builds(m, "pagerank"), 0u);
+
+  expect_topk("epoch 3");
+  expect_topk("epoch 3 again");
+  EXPECT_EQ(builds(m, "pagerank"), 1u);
+
+  update(3);
+  EXPECT_EQ(builds(m, "pagerank"), 1u);
+  expect_topk("epoch 4");
+  EXPECT_EQ(builds(m, "pagerank"), 2u);
+
+  update(4);
+  update(5);
+  EXPECT_EQ(builds(m, "pagerank"), 2u);
 }

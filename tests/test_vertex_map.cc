@@ -64,3 +64,40 @@ TEST(VertexFilter, NoneAndAll) {
   EXPECT_TRUE(vertex_filter(vs, [](vertex_id) { return false; }).empty());
   EXPECT_EQ(vertex_filter(vs, [](vertex_id) { return true; }).size(), 2u);
 }
+
+// vertex_filter calls f exactly once per member in every representation,
+// on subsets past pack's 2048-element serial cutoff, and keeps exactly the
+// members f accepted. Predicates with side effects (pagerank_delta_inc
+// folds each member's delta in its filter) depend on this.
+TEST(VertexFilter, CallsPredicateOncePerMemberAboveCutoff) {
+  const vertex_id n = 40000;
+  std::vector<vertex_id> ids;
+  for (vertex_id v = 0; v < n; v += 4) ids.push_back(v);  // 10k members
+  ASSERT_EQ(ids.size(), 10000u);
+  std::vector<vertex_id> want;
+  std::vector<uint8_t> flags(n, 0);
+  std::vector<uint64_t> words((n + 63) / 64, 0);
+  for (vertex_id v : ids) {
+    if (v % 8 == 0) want.push_back(v);
+    flags[v] = 1;
+    words[v / 64] |= uint64_t{1} << (v % 64);
+  }
+  struct layout {
+    const char* name;
+    vertex_subset subset;
+  };
+  std::vector<layout> layouts;
+  layouts.push_back({"sparse", vertex_subset(n, ids)});
+  layouts.push_back({"dense", vertex_subset::from_dense(n, flags)});
+  layouts.push_back({"bitmap", vertex_subset::from_bitmap(n, words)});
+  for (const layout& l : layouts) {
+    std::vector<std::atomic<int>> calls(n);
+    auto kept = vertex_filter(l.subset, [&](vertex_id v) {
+      calls[v].fetch_add(1, std::memory_order_relaxed);
+      return v % 8 == 0;
+    });
+    for (vertex_id v = 0; v < n; v++)
+      ASSERT_EQ(calls[v].load(), flags[v]) << l.name << " vertex " << v;
+    EXPECT_EQ(kept.to_sorted_vector(), want) << l.name;
+  }
+}
