@@ -11,6 +11,11 @@
 //     per-vertex scheduling serializes on the hub. Per-rep times land in
 //     histograms and are emitted as one machine-readable EDGEMAP_JSON line
 //     (same shape as TABLE2_JSON; validated by the CI bench-smoke job).
+//   * Gather vs update form of the dense (pull) kernel on an all-vertex
+//     PageRank round: a functor folding in-edges into a register sum with
+//     one commit per vertex, against one with only update (a
+//     read-modify-write of p_next[v] per in-edge). Both run the same
+//     blocked kernel; histograms edgemap_dense_micros{kernel=...}.
 //   * A sweep of the hybrid threshold denominator d (dense when
 //     |U| + outdeg(U) > m/d). Paper uses d = 20; the sweep shows a flat
 //     optimum around it.
@@ -171,6 +176,82 @@ void print_skewed_frontier_table() {
   t.print();
 }
 
+// One PageRank round's rank-mass step in update form only: the dense
+// kernel writes p_next[v] once per in-edge.
+struct pr_update_f {
+  const double* contribution;
+  double* p_next;
+  bool update(vertex_id u, vertex_id v) const {
+    p_next[v] += contribution[u];
+    return true;
+  }
+  bool update_atomic(vertex_id u, vertex_id v) const {
+    write_add(&p_next[v], contribution[u]);
+    return true;
+  }
+  bool cond(vertex_id) const { return true; }
+};
+
+// The same step with the gather form (apps::pagerank's functor, minus the
+// damping): the sum stays in a register and p_next[v] is written once.
+struct pr_gather_f : pr_update_f {
+  double gather_init(vertex_id) const { return 0.0; }
+  void gather(double& acc, vertex_id u, vertex_id) const {
+    acc += contribution[u];
+  }
+  bool gather_commit(vertex_id v, double acc) const {
+    p_next[v] = acc;
+    return true;
+  }
+};
+
+// Times `reps` all-vertex dense rounds of F into the named histogram;
+// returns the best seconds. p_next is zeroed untimed, as the update form
+// needs.
+template <class F>
+double time_dense_round(const graph& g, const std::string& hist_name,
+                        int reps) {
+  obs::histogram& h = edgemap_metrics().get_histogram(hist_name);
+  const vertex_id n = g.num_vertices();
+  std::vector<double> contribution(n), p_next(n);
+  for (vertex_id v = 0; v < n; v++)
+    contribution[v] =
+        g.out_degree(v) == 0 ? 0.0 : 1.0 / (n * double(g.out_degree(v)));
+  vertex_subset all = vertex_subset::all(n);
+  F f;
+  f.contribution = contribution.data();
+  f.p_next = p_next.data();
+  double best = -1.0;
+  for (int r = 0; r < reps; r++) {
+    std::fill(p_next.begin(), p_next.end(), 0.0);
+    double s = time_it([&] { edge_map_no_output(g, all, f); });
+    benchmark::DoNotOptimize(p_next.data());
+    h.record(static_cast<uint64_t>(s * 1e6));
+    if (best < 0.0 || s < best) best = s;
+  }
+  return best;
+}
+
+void print_dense_form_table() {
+  std::printf("\n=== Dense pull kernel — one all-vertex PageRank round, "
+              "update vs gather form (seconds) ===\n");
+  table_printer t({"Input", "Edges", "Update", "Gather", "Speedup"});
+  for (const auto& in : bench::table1_inputs()) {
+    double upd = time_dense_round<pr_update_f>(
+        in.g,
+        "edgemap_dense_micros{kernel=\"update\",input=\"" + in.name + "\"}",
+        5);
+    double gat = time_dense_round<pr_gather_f>(
+        in.g,
+        "edgemap_dense_micros{kernel=\"gather\",input=\"" + in.name + "\"}",
+        5);
+    t.add_row({in.name, std::to_string(in.g.num_edges()),
+               format_double(upd, 6), format_double(gat, 6),
+               format_double(upd / gat, 2) + "x"});
+  }
+  t.print();
+}
+
 void print_threshold_sweep() {
   std::printf("\n=== F2: hybrid threshold sweep — BFS time (seconds) with "
               "dense threshold m/d ===\n");
@@ -229,6 +310,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   print_strategy_table();
   print_skewed_frontier_table();
+  print_dense_form_table();
   print_threshold_sweep();
   register_benchmarks();
   benchmark::RunSpecifiedBenchmarks();

@@ -9,13 +9,22 @@ namespace ligra::apps {
 
 namespace {
 
-// Accumulate rank mass: p_next[v] += p_curr[u] / outdeg(u).
+// Rank mass into v: the dense (pull) kernel sums v's in-neighbors'
+// contributions in a register and commits p_next[v] = scale·sum + offset
+// once; push rounds (sparse, dense_forward) accumulate raw contributions
+// into a zeroed p_next instead.
 struct pr_f {
   const double* contribution;  // p_curr[u] / outdeg(u), precomputed
   double* p_next;
+  double scale = 1.0;
+  double offset = 0.0;
 
-  bool update(vertex_id u, vertex_id v) const {
-    p_next[v] += contribution[u];
+  double gather_init(vertex_id) const { return 0.0; }
+  void gather(double& acc, vertex_id u, vertex_id) const {
+    acc += contribution[u];
+  }
+  bool gather_commit(vertex_id v, double acc) const {
+    p_next[v] = scale * acc + offset;
     return true;
   }
   bool update_atomic(vertex_id u, vertex_id v) const {
@@ -36,6 +45,14 @@ pagerank_result pagerank(const graph& g, const pagerank_options& opts) {
 
   std::vector<double> p_curr(n, one_over_n), p_next(n, 0.0), contribution(n);
   vertex_subset all = vertex_subset::all(n);
+  // An all-vertex frontier always pulls (n + m > m/d), and the pull commit
+  // writes every p_next[v] damped; only options forcing a push kernel need
+  // p_next zeroed before the round and damped after it.
+  const edge_map_options& em = opts.edge_map;
+  const bool push = em.strategy == traversal::sparse ||
+                    em.strategy == traversal::dense_forward ||
+                    (em.strategy == traversal::automatic &&
+                     em.prefer_dense_forward);
 
   for (size_t iter = 0; iter < opts.max_iterations; iter++) {
     if (opts.poll) opts.poll();
@@ -44,16 +61,19 @@ pagerank_result pagerank(const graph& g, const pagerank_options& opts) {
       size_t d = g.out_degree(static_cast<vertex_id>(v));
       contribution[v] = d == 0 ? 0.0 : p_curr[v] / static_cast<double>(d);
     });
-    edge_map_no_output(g, all, pr_f{contribution.data(), p_next.data()},
-                       opts.edge_map);
-    parallel::parallel_for(0, n, [&](size_t v) {
-      p_next[v] = opts.damping * p_next[v] + base;
-    });
+    if (push) parallel::parallel_for(0, n, [&](size_t v) { p_next[v] = 0.0; });
+    edge_map_no_output(
+        g, all,
+        pr_f{contribution.data(), p_next.data(), opts.damping, base}, em);
+    if (push) {
+      parallel::parallel_for(0, n, [&](size_t v) {
+        p_next[v] = opts.damping * p_next[v] + base;
+      });
+    }
     result.final_residual = parallel::reduce_add(
         n, [&](size_t v) { return std::fabs(p_next[v] - p_curr[v]); });
     result.active_history.push_back(n);
     std::swap(p_curr, p_next);
-    parallel::parallel_for(0, n, [&](size_t v) { p_next[v] = 0.0; });
     if (result.final_residual < opts.tolerance) break;
   }
   result.rank = std::move(p_curr);

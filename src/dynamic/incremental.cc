@@ -42,16 +42,26 @@ struct cc_inc_f {
 // The first arrival at v wins the `seen` CAS and puts v in the output
 // frontier, so each round folds only the vertices that actually received
 // mass — per-round work stays proportional to the perturbation's reach
-// instead of O(n).
+// instead of O(n). Dense rounds use the gather form, as pr_f does: v sums
+// its frontier in-neighbors in a register and joins the output when it
+// had any.
 struct pr_inc_f {
+  struct mass {
+    double sum = 0.0;
+    bool any = false;
+  };
   const double* contribution;
   double* ngh_sum;
   uint8_t* seen;
 
-  bool update(vertex_id u, vertex_id v) const {
-    ngh_sum[v] += contribution[u];
-    if (seen[v]) return false;
-    seen[v] = 1;
+  mass gather_init(vertex_id) const { return {}; }
+  void gather(mass& acc, vertex_id u, vertex_id) const {
+    acc.sum += contribution[u];
+    acc.any = true;
+  }
+  bool gather_commit(vertex_id v, const mass& acc) const {
+    if (!acc.any) return false;
+    ngh_sum[v] += acc.sum;
     return true;
   }
   bool update_atomic(vertex_id u, vertex_id v) const {

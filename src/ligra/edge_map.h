@@ -20,12 +20,26 @@
 //     legacy per-vertex kernel is kept behind edge_map_options::blocked =
 //     false for ablation (bench_fig_edgemap_strategies).
 //   * dense ("pull", edgeMapDense): for every vertex v with cond(v),
-//     scan v's in-edges for frontier members; only one thread touches v, so
-//     the plain F::update runs and the scan breaks as soon as cond(v)
-//     flips false (the early exit that makes BFS bottom-up cheap).
-//     Work O(n + m) worst case but with no atomics and early exit. The
-//     frontier is consumed as a Beamer-style bitmap (1 bit per vertex):
-//     8x less frontier memory traffic than the byte representation.
+//     scan v's in-edges for frontier members; only one task touches v, so
+//     F needs no atomics there. One blocked kernel serves every functor:
+//       - blocked pull: [0, n + m) (one slot per vertex plus one per
+//         in-edge) is cut into blocks of at least kEdgeBlockSize slots
+//         (at most kDenseBlocksPerWorker per worker), each locating its
+//         vertex range by binary search in the CSR in-offsets, so a block
+//         of hubs and a block of leaves cost about the same. Graphs with
+//         no in-offsets (compressed_graph, the mutable view) use blocks of
+//         at least kDenseVertexBlock vertices.
+//       - gather form: when F provides it (below), v's in-edges fold into
+//         a register accumulator and one gather_commit writes v's state —
+//         PageRank sums in registers instead of a read-modify-write of
+//         p_next[v] per edge. Functors with only update/cond call the
+//         plain F::update per edge and break as soon as cond(v) flips
+//         false (the early exit that makes BFS bottom-up cheap).
+//       - all-vertex path: when |U| = n (PageRank's every round), the
+//         frontier is never converted to a bitmap, no in-edge tests a
+//         membership bit, and outdeg(U) = m is taken without a degree sum.
+//     Other frontiers are consumed as a Beamer-style bitmap (1 bit per
+//     vertex): 8x less frontier memory traffic than the byte form.
 //   * dense_forward (edgeMapDenseForward): push over the out-edges of a
 //     dense frontier — avoids the sparse output compaction at large
 //     frontiers but needs atomics and has no early exit. Iterates the
@@ -46,8 +60,16 @@
 //     bool update(vertex_id u, vertex_id v [, W w])         // non-racing
 //     bool update_atomic(vertex_id u, vertex_id v [, W w])  // racing
 //     bool cond(vertex_id v)
-// The weight parameter is optional — unweighted algorithms keep the paper's
-// two-argument signature; detection is by overload resolution.
+// and optionally the gather form, which the dense kernel then uses in place
+// of update:
+//     T gather_init(vertex_id v)
+//     void gather(T& acc, vertex_id u, vertex_id v [, W w])  // one in-edge
+//     bool gather_commit(vertex_id v, const T& acc)  // true: v joins output
+// gather_commit runs once for every v with cond(v), whether or not any
+// in-neighbor was in the frontier. A functor with the gather form needs no
+// update (push rounds still use update_atomic). The weight parameter is
+// optional — unweighted algorithms keep the paper's two-argument
+// signature; detection is by overload resolution.
 //
 // edge_map is generic over any graph type G exposing
 //     num_vertices(), num_edges(), out_degree(v),
@@ -58,7 +80,9 @@
 // blocks; others fall back to a skip-decode.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -101,7 +125,7 @@ struct edge_map_stats {
   size_t frontier_size = 0;    // |U|
   edge_id frontier_edges = 0;  // outdeg(U)
   traversal used = traversal::automatic;
-  size_t blocks = 0;           // edge blocks processed (sparse blocked only)
+  size_t blocks = 0;           // blocks processed (sparse blocked, dense)
   size_t scratch_bytes = 0;    // capacity of the scratch used this call
 };
 
@@ -374,28 +398,128 @@ vertex_subset edge_map_sparse_per_vertex(
   return vertex_subset(g.num_vertices(), std::move(out));
 }
 
-// Dense (pull) traversal: scan in-edges of every vertex passing cond. The
-// frontier is a bitmap — one bit load per in-edge candidate instead of a
-// byte — and the output is written bit-wise (atomic OR; distinct targets
-// sharing a word may race).
-template <class G, class F>
-vertex_subset edge_map_dense(const G& g, const std::vector<uint64_t>& frontier,
-                             F& f, const edge_map_options& opts) {
+// Whether F offers the gather form (see the header comment): an
+// accumulator per target instead of a write per in-edge.
+template <class F>
+concept gather_functor = requires(F& f, vertex_id v) {
+  f.gather_init(v);
+  { f.gather_commit(v, f.gather_init(v)) } -> std::convertible_to<bool>;
+};
+
+template <class F, class T, class W>
+void call_gather(F& f, T& acc, vertex_id u, vertex_id v, W w) {
+  if constexpr (requires(F& g) { g.gather(acc, u, v, w); }) {
+    f.gather(acc, u, v, w);
+  } else {
+    (void)w;
+    f.gather(acc, u, v);
+  }
+}
+
+// Least vertices per dense block on graphs without CSR in-offsets: about
+// kEdgeBlockSize edges at the average degree (16) of the paper's inputs.
+inline constexpr size_t kDenseVertexBlock = 256;
+
+// Most dense blocks per worker: a block is one scheduler task, and a round
+// of thousands of small blocks (BFS's dense rounds, where most vertices
+// fail cond) pays more in forks than it gains in balance.
+inline constexpr size_t kDenseBlocksPerWorker = 32;
+
+// The in-offsets (n+1 entries) of a CSR graph, or nullptr for graph types
+// that have none (compressed_graph, the mutable view).
+template <class G>
+const edge_id* csr_in_offsets(const G& g) {
+  if constexpr (requires { g.in_offsets(); }) {
+    const auto& off = g.in_offsets();
+    if (off.size() == static_cast<size_t>(g.num_vertices()) + 1)
+      return off.data();
+  }
+  return nullptr;
+}
+
+// Pulls v's in-edges from the frontier (every vertex when All) into F and
+// sets v's bit in `out` (when non-null) if v joins the output. The gather
+// form folds into a register accumulator and commits once; the update form
+// writes per edge and stops as soon as cond(v) flips false.
+template <bool All, class G, class F>
+void pull_vertex(const G& g, const uint64_t* frontier, F& f, vertex_id v,
+                 uint64_t* out) {
   using W = typename G::weight_type;
+  auto member = [frontier](vertex_id u) {
+    if constexpr (All) {
+      (void)frontier;
+      (void)u;
+      return true;
+    } else {
+      return ((frontier[u >> 6] >> (u & 63)) & 1) != 0;
+    }
+  };
+  const uint64_t bit = uint64_t{1} << (v & 63);
+  if constexpr (gather_functor<F>) {
+    auto acc = f.gather_init(v);
+    g.decode_in(v, [&](vertex_id u, W w, size_t) {
+      if (member(u)) call_gather(f, acc, u, v, w);
+      return true;
+    });
+    if (f.gather_commit(v, acc) && out != nullptr) write_or(&out[v >> 6], bit);
+  } else {
+    g.decode_in(v, [&](vertex_id u, W w, size_t) {
+      if (member(u) && call_update(f, u, v, w) && out != nullptr)
+        write_or(&out[v >> 6], bit);
+      return f.cond(v);  // early exit: stop once v's state is settled
+    });
+  }
+}
+
+// Dense (pull) traversal: every vertex v with cond(v) pulls from its
+// in-edges; only one task touches v, so no atomics are needed on F's side.
+// Blocks are edge-balanced: vertex v occupies slots [v + off[v], v + 1 +
+// off[v+1]) of [0, n + m), the space is cut into blocks of at least
+// kEdgeBlockSize slots, and each block runs the vertices whose first slot
+// it holds (located by binary search in the in-offsets).
+template <bool All, class G, class F>
+vertex_subset edge_map_dense(const G& g, const uint64_t* frontier, F& f,
+                             const edge_map_options& opts,
+                             size_t& blocks_used) {
   const vertex_id n = g.num_vertices();
   std::vector<uint64_t> next;
   if (opts.produce_output) next.assign(vertex_subset::num_bitmap_words(n), 0);
-  parallel::parallel_for(0, n, [&](size_t vi) {
-    auto v = static_cast<vertex_id>(vi);
-    if (!f.cond(v)) return;
-    g.decode_in(v, [&](vertex_id u, W w, size_t) {
-      if (((frontier[u >> 6] >> (u & 63)) & 1) && call_update(f, u, v, w)) {
-        if (opts.produce_output)
-          write_or(&next[vi >> 6], uint64_t{1} << (vi & 63));
-      }
-      return f.cond(v);  // early exit: stop once v's state is settled
-    });
-  });
+  uint64_t* const out = opts.produce_output ? next.data() : nullptr;
+  const edge_id* off = csr_in_offsets(g);
+  const size_t span = off != nullptr ? n + static_cast<size_t>(off[n]) : n;
+  const size_t block = std::max(
+      off != nullptr ? kEdgeBlockSize : kDenseVertexBlock,
+      span / (kDenseBlocksPerWorker *
+              static_cast<size_t>(parallel::num_workers())) + 1);
+  // First vertex whose first slot is >= pos.
+  auto first_vertex = [&](size_t pos) -> size_t {
+    if (off == nullptr) return std::min<size_t>(pos, n);
+    size_t lo = 0, hi = n;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (mid + static_cast<size_t>(off[mid]) < pos) lo = mid + 1;
+      else hi = mid;
+    }
+    return lo;
+  };
+  const size_t nblocks = (span + block - 1) / block;
+  blocks_used = nblocks;
+  parallel::parallel_for(
+      0, nblocks,
+      [&](size_t b) {
+        // Task-local copies: F's fields and the two bitmaps stay in
+        // registers across the atomics in F and in write_or, instead of
+        // being reloaded through references after each one.
+        F fl = f;
+        const uint64_t* const fr = frontier;
+        uint64_t* const o = out;
+        const size_t vhi = first_vertex(std::min(span, (b + 1) * block));
+        for (size_t vi = first_vertex(b * block); vi < vhi; vi++) {
+          const auto v = static_cast<vertex_id>(vi);
+          if (fl.cond(v)) pull_vertex<All>(g, fr, fl, v, o);
+        }
+      },
+      1);
   if (!opts.produce_output) return vertex_subset(n);
   return vertex_subset::from_bitmap(n, std::move(next));
 }
@@ -467,7 +591,12 @@ vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
   // inside the kernel.
   const bool sparse_possible =
       mode == traversal::sparse || mode == traversal::automatic;
-  if (frontier.is_sparse() && sparse_possible) {
+  // An all-vertex frontier (PageRank's every round) has outdeg(U) = m and
+  // needs no bitmap: the dense kernel skips the per-edge membership test.
+  const bool all = frontier.size() == g.num_vertices() && !frontier.empty();
+  if (all) {
+    out_degrees = g.num_edges();
+  } else if (frontier.is_sparse() && sparse_possible) {
     out_degrees = detail::build_degree_prefix(g, frontier.sparse(), *scr);
     have_prefix = true;
   } else if (want_degrees) {
@@ -506,8 +635,13 @@ vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
                                                   opts, *scr);
       }
       case traversal::dense:
+        if (all) {
+          return detail::edge_map_dense<true>(g, nullptr, f, opts,
+                                              blocks_used);
+        }
         frontier.to_bitmap();
-        return detail::edge_map_dense(g, frontier.bitmap(), f, opts);
+        return detail::edge_map_dense<false>(g, frontier.bitmap().data(), f,
+                                             opts, blocks_used);
       case traversal::dense_forward:
         frontier.to_bitmap();
         return detail::edge_map_dense_forward(g, frontier.bitmap(), f, opts);

@@ -22,16 +22,19 @@ struct multi_bfs_f {
   int64_t* last_reached;
   int64_t round;
 
-  bool update(vertex_id u, vertex_id v) const {
-    uint64_t to_write = visited[v] | visited[u];
-    if (visited[v] != to_write) {
-      next_visited[v] |= to_write;
-      if (last_reached[v] != round) {
-        last_reached[v] = round;
-        return true;
-      }
-    }
-    return false;
+  // Dense rounds: OR the frontier in-neighbors' sets in a register, then
+  // grow v once.
+  uint64_t gather_init(vertex_id) const { return 0; }
+  void gather(uint64_t& acc, vertex_id u, vertex_id) const {
+    acc |= visited[u];
+  }
+  bool gather_commit(vertex_id v, uint64_t acc) const {
+    const uint64_t to_write = visited[v] | acc;
+    if (visited[v] == to_write) return false;
+    next_visited[v] |= to_write;
+    if (last_reached[v] == round) return false;
+    last_reached[v] = round;
+    return true;
   }
   bool update_atomic(vertex_id u, vertex_id v) const {
     uint64_t to_write = visited[v] | visited[u];

@@ -8,11 +8,6 @@
 
 namespace ligra::obs {
 
-namespace detail {
-thread_local query_trace* tl_trace = nullptr;
-thread_local trace_id tl_trace_id = {};
-}  // namespace detail
-
 std::string trace_id::to_hex() const {
   char buf[33];
   std::snprintf(buf, sizeof(buf), "%016llx%016llx",

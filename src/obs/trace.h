@@ -103,8 +103,12 @@ class query_trace {
 };
 
 namespace detail {
-extern thread_local query_trace* tl_trace;
-extern thread_local trace_id tl_trace_id;
+// Defined inline in the header, as edge_map.h's tl_scratch is. Declared
+// extern with the definition in trace.cc, gcc's -fsanitize=undefined build
+// reported "store to null pointer of type 'struct trace_id'" on the first
+// trace_id_scope.
+inline thread_local query_trace* tl_trace = nullptr;
+inline thread_local trace_id tl_trace_id = {};
 }  // namespace detail
 
 // The trace id of the query running on this thread (zero when none). The

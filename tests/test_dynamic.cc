@@ -654,24 +654,33 @@ TEST(DynamicConcurrency, ReadersOnOldEpochWhileApplying) {
   const edge_id m0 = h0->num_edges();
   const auto labels0 = h0->inc()->cc_labels;
 
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
   std::atomic<size_t> reads{0};
+  std::atomic<int> readers_started{0};  // readers with one read done
   // Readers traverse the *old* handle's view the whole time; apply() never
   // mutates a published version, so TSan must stay quiet here.
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; t++) {
+  for (int t = 0; t < kReaders; t++) {
     readers.emplace_back([&, t] {
       rng r(static_cast<uint64_t>(t) + 89);
       size_t i = 0;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         vertex_id src = static_cast<vertex_id>(r[i++] % n);
         (void)dyn::bfs_hop_distance(*h0->dyn(), src,
                                     static_cast<vertex_id>(r[i++] % n));
         EXPECT_EQ(h0->num_edges(), m0);
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (first) readers_started.fetch_add(1);
+        first = false;
       }
     });
   }
+  // Batches apply fast enough to finish before a reader thread is even
+  // scheduled; hold the writer until every reader has read once, so the
+  // reads overlap the publishes the test is about.
+  while (readers_started.load() < kReaders) std::this_thread::yield();
   // Writer: a stream of batches through the registry, each publishing a new
   // epoch on top of the last.
   rng wr(97);

@@ -4,7 +4,8 @@
 // dense_forward) and the hybrid must produce identical results for
 // commutative/idempotent update functions. Verified on parameterized
 // random graphs against a sequential oracle, plus targeted tests for the
-// threshold rule, early exit, duplicate removal, weights, and no-output.
+// threshold rule, early exit, duplicate removal, weights, and no-output,
+// and the dense kernel's gather form against its update form.
 #include "ligra/edge_map.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <algorithm>
 #include <set>
 
+#include "compress/compressed_graph.h"
+#include "dynamic/mutable_graph.h"
 #include "graph/generators.h"
 #include "ligra/vertex_subset.h"
 #include "parallel/atomics.h"
@@ -288,3 +291,194 @@ TEST(EdgeMap, MultiRoundBfsReachesWholeComponent) {
   EXPECT_EQ(reach[1], reach[2]);
   EXPECT_GT(reach[0], g.num_vertices() / 2);  // random deg-10 graph: giant CC
 }
+
+// --- dense kernel: gather form vs update form -------------------------------
+
+namespace {
+
+// Both functors sum val(u) = u + 1 over v's frontier in-neighbors into
+// sum[v]; v joins the output when it had any. cond(v) is false where
+// skip[v] is set. Integer sums, so any fold order gives the same value.
+struct sum_update_f {
+  uint64_t* sum;
+  const uint8_t* skip;
+  bool update(vertex_id u, vertex_id v) const {
+    sum[v] += uint64_t{u} + 1;
+    return true;
+  }
+  bool update_atomic(vertex_id u, vertex_id v) const {
+    write_add(&sum[v], uint64_t{u} + 1);
+    return true;
+  }
+  bool cond(vertex_id v) const { return skip[v] == 0; }
+};
+
+struct sum_gather_f : sum_update_f {
+  struct acc_t {
+    uint64_t sum = 0;
+    bool any = false;
+  };
+  acc_t gather_init(vertex_id) const { return {}; }
+  void gather(acc_t& a, vertex_id u, vertex_id) const {
+    a.sum += uint64_t{u} + 1;
+    a.any = true;
+  }
+  bool gather_commit(vertex_id v, const acc_t& a) const {
+    sum[v] = a.sum;
+    return a.any;
+  }
+};
+
+struct dense_outcome {
+  std::vector<vertex_id> out;
+  std::vector<uint64_t> sum;
+  size_t blocks = 0;
+};
+
+// One forced-dense edge_map of F over `frontier` (a fresh copy per call).
+template <class F, class G>
+dense_outcome run_dense(const G& g, vertex_subset frontier, bool produce,
+                        const std::vector<uint8_t>& skip) {
+  dense_outcome r;
+  r.sum.assign(g.num_vertices(), 0);
+  F f;
+  f.sum = r.sum.data();
+  f.skip = skip.data();
+  edge_map_stats stats;
+  edge_map_options opts;
+  opts.strategy = traversal::dense;
+  opts.produce_output = produce;
+  opts.stats = &stats;
+  r.out = edge_map(g, frontier, f, opts).to_sorted_vector();
+  r.blocks = stats.blocks;
+  return r;
+}
+
+// Serial oracle over the graph's own in-edge iteration.
+template <class G>
+dense_outcome oracle_dense(const G& g, const std::vector<uint8_t>& member,
+                           const std::vector<uint8_t>& skip) {
+  dense_outcome r;
+  r.sum.assign(g.num_vertices(), 0);
+  for (vertex_id v = 0; v < g.num_vertices(); v++) {
+    if (skip[v]) continue;
+    bool any = false;
+    g.decode_in(v, [&](vertex_id u, auto, size_t) {
+      if (member[u]) {
+        r.sum[v] += uint64_t{u} + 1;
+        any = true;
+      }
+      return true;
+    });
+    if (any) r.out.push_back(v);
+  }
+  return r;
+}
+
+// Random graph plus a hub (vertex 0) adjacent to every vertex: at n = 20000
+// its in-edges span several kEdgeBlockSize blocks.
+graph with_hub(vertex_id n, uint64_t seed) {
+  auto edges = gen::random_graph(n, 4, seed).to_edges();
+  for (vertex_id v = 1; v < n; v++) edges.emplace_back(v, 0);
+  build_options o;
+  o.symmetrize = true;
+  return graph::from_edges(n, std::move(edges), o);
+}
+
+// Checks gather == update == oracle on `g` for all-vertex (byte and id-list
+// forms) and partial frontiers, with and without output.
+template <class G>
+void expect_gather_matches_update(const G& g, uint64_t seed) {
+  const vertex_id n = g.num_vertices();
+  rng r(seed);
+  std::vector<uint8_t> skip(n), partial(n);
+  for (vertex_id v = 0; v < n; v++) {
+    skip[v] = r[2 * v] % 7 == 0 ? 1 : 0;
+    partial[v] = r[2 * v + 1] % 3 == 0 ? 1 : 0;
+  }
+  partial[0] = 1;  // the hub is in the partial frontier
+  std::vector<vertex_id> all_ids(n), partial_ids;
+  for (vertex_id v = 0; v < n; v++) {
+    all_ids[v] = v;
+    if (partial[v]) partial_ids.push_back(v);
+  }
+  const std::vector<uint8_t> everyone(n, 1);
+  struct frontier_case {
+    const char* name;
+    const std::vector<uint8_t>& member;
+    vertex_subset subset;
+  };
+  std::vector<frontier_case> cases;
+  cases.push_back({"all (bytes)", everyone, vertex_subset::all(n)});
+  cases.push_back({"all (ids)", everyone, vertex_subset(n, all_ids)});
+  cases.push_back({"partial", partial, vertex_subset(n, partial_ids)});
+  for (const auto& c : cases) {
+    const auto want = oracle_dense(g, c.member, skip);
+    for (bool produce : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) + (produce ? ", output" : ", no output") +
+                   ", n=" + std::to_string(n));
+      auto gathered = run_dense<sum_gather_f>(g, c.subset, produce, skip);
+      auto updated = run_dense<sum_update_f>(g, c.subset, produce, skip);
+      EXPECT_EQ(gathered.sum, want.sum);
+      EXPECT_EQ(updated.sum, want.sum);
+      EXPECT_EQ(gathered.out, produce ? want.out : std::vector<vertex_id>{});
+      EXPECT_EQ(updated.out, gathered.out);
+      EXPECT_GE(gathered.blocks, 1u);
+    }
+  }
+}
+
+}  // namespace
+
+class DenseGather : public ::testing::TestWithParam<vertex_id> {};
+
+TEST_P(DenseGather, CsrGatherMatchesUpdate) {
+  const vertex_id n = GetParam();
+  auto g = with_hub(n, n);
+  expect_gather_matches_update(g, 11);
+  if (n > 4 * kEdgeBlockSize) {
+    // The hub's in-edges alone fill several blocks; the layout still
+    // covers all of [0, n + m).
+    vertex_subset all = vertex_subset::all(n);
+    std::vector<uint8_t> skip(n);
+    EXPECT_GE(run_dense<sum_gather_f>(g, all, false, skip).blocks,
+              (n + g.num_edges()) / kEdgeBlockSize);
+  }
+}
+
+TEST_P(DenseGather, DirectedCsrGatherMatchesUpdate) {
+  const vertex_id n = GetParam();
+  auto edges = gen::random_graph(n, 4, n + 1).to_edges();
+  for (vertex_id v = 1; v < n; v++) edges.emplace_back(v, 0);
+  expect_gather_matches_update(graph::from_edges(n, std::move(edges)), 12);
+}
+
+TEST_P(DenseGather, CompressedGatherMatchesUpdate) {
+  const vertex_id n = GetParam();
+  auto cg = compress::compressed_graph::from_graph(with_hub(n, n + 2));
+  expect_gather_matches_update(cg, 13);
+}
+
+TEST_P(DenseGather, MutableViewGatherMatchesUpdate) {
+  const vertex_id n = GetParam();
+  dynamic::mutable_graph base(with_hub(n, n + 3));
+  dynamic::update_batch batch;
+  rng r(n);
+  for (vertex_id i = 0; i < 64; i++) {
+    // Inserts between the two halves of [1, n) never meet the deletes,
+    // which all touch the hub.
+    batch.inserts.emplace_back(
+        static_cast<vertex_id>(1 + r[2 * i] % (n / 2)),
+        static_cast<vertex_id>(n / 2 + 1 + r[2 * i + 1] % (n / 2 - 1)));
+    batch.deletes.emplace_back(vertex_id{0}, 2 * i + 1);
+  }
+  auto view = base.apply(std::move(batch)).next;
+  ASSERT_GT(view.delta_edges(), 0u);
+  expect_gather_matches_update(view, 14);
+}
+
+// n on both sides of parallel_for's 2048-element cutoff, and one large
+// enough that the hub spans several edge blocks.
+INSTANTIATE_TEST_SUITE_P(Sizes, DenseGather,
+                         ::testing::Values(vertex_id{1000}, vertex_id{3000},
+                                           vertex_id{20000}));

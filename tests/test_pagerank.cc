@@ -62,6 +62,34 @@ TEST_P(PrGraphs, DeltaConvergesToPowerIteration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrGraphs, ::testing::Values(1, 2, 3, 4));
 
+TEST(Pagerank, MatchesBaselinePerVertexOnLargeRmat) {
+  // n and n + m far past parallel_for's 2048 cutoff and the dense
+  // kernel's 4096-slot blocks: the pull commit and the push kernels (which
+  // accumulate, then damp) must all agree with the serial oracle.
+  auto g = gen::rmat_graph(14, 1 << 17, 7);
+  auto expect_close = [&](const std::vector<double>& got,
+                          const std::vector<double>& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size());
+    for (vertex_id v = 0; v < g.num_vertices(); v++)
+      ASSERT_LE(std::fabs(got[v] - want[v]), 1e-9 * std::fabs(want[v]))
+          << what << ", vertex " << v;
+  };
+  expect_close(apps::pagerank(g).rank, baseline::pagerank(g), "default");
+  // A fixed round count (tolerance 0), so push kernels' different float
+  // order cannot move the stopping round.
+  const auto fixed = baseline::pagerank(g, 0.85, 0.0, 30);
+  apps::pagerank_options pull, sparse, forward;
+  for (auto* o : {&pull, &sparse, &forward}) {
+    o->tolerance = 0.0;
+    o->max_iterations = 30;
+  }
+  sparse.edge_map.strategy = traversal::sparse;
+  forward.edge_map.prefer_dense_forward = true;
+  expect_close(apps::pagerank(g, pull).rank, fixed, "pull");
+  expect_close(apps::pagerank(g, sparse).rank, fixed, "sparse");
+  expect_close(apps::pagerank(g, forward).rank, fixed, "dense_forward");
+}
+
 TEST(Pagerank, RankSumIsOneOnSinklessGraph) {
   // Symmetric graphs have no sinks: total rank mass is conserved at 1.
   auto g = gen::grid3d_graph(6);
