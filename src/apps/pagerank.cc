@@ -45,14 +45,12 @@ pagerank_result pagerank(const graph& g, const pagerank_options& opts) {
 
   std::vector<double> p_curr(n, one_over_n), p_next(n, 0.0), contribution(n);
   vertex_subset all = vertex_subset::all(n);
-  // An all-vertex frontier always pulls (n + m > m/d), and the pull commit
-  // writes every p_next[v] damped; only options forcing a push kernel need
-  // p_next zeroed before the round and damped after it.
+  // The pull commit writes every p_next[v] damped; a push kernel (sparse
+  // or dense_forward) adds raw contributions, so only then is p_next
+  // zeroed before the round and damped after it.
   const edge_map_options& em = opts.edge_map;
-  const bool push = em.strategy == traversal::sparse ||
-                    em.strategy == traversal::dense_forward ||
-                    (em.strategy == traversal::automatic &&
-                     em.prefer_dense_forward);
+  const bool push = resolve_traversal(em, n, g.num_edges(), g.num_edges()) !=
+                    traversal::dense;
 
   for (size_t iter = 0; iter < opts.max_iterations; iter++) {
     if (opts.poll) opts.poll();

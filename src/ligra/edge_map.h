@@ -218,6 +218,22 @@ struct edge_map_options {
   edge_map_stats* stats = nullptr;
 };
 
+// The traversal edge_map runs for a frontier of `frontier_size` vertices
+// with `out_degrees` out-edges on a graph of `num_edges` edges: the forced
+// strategy, or under `automatic` the paper's threshold rule. Callers that
+// prepare state for the kernel (PageRank zeroes its accumulator only for
+// push rounds) ask here instead of restating the rule.
+inline traversal resolve_traversal(const edge_map_options& opts,
+                                   size_t frontier_size, edge_id out_degrees,
+                                   edge_id num_edges) {
+  if (opts.strategy != traversal::automatic) return opts.strategy;
+  const uint64_t threshold =
+      num_edges / std::max<uint64_t>(1, opts.threshold_denominator);
+  if (frontier_size + out_degrees <= threshold) return traversal::sparse;
+  return opts.prefer_dense_forward ? traversal::dense_forward
+                                   : traversal::dense;
+}
+
 namespace detail {
 
 template <class F, class W>
@@ -578,19 +594,19 @@ vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
   edge_map_scratch* scr = opts.scratch != nullptr ? opts.scratch
                           : detail::tl_scratch != nullptr ? detail::tl_scratch
                                                           : &local_scratch;
-  traversal mode = opts.strategy;
+  const traversal forced = opts.strategy;
   const uint64_t threshold =
       g.num_edges() / std::max<uint64_t>(1, opts.threshold_denominator);
   edge_id out_degrees = 0;
   bool have_prefix = false;
-  const bool want_degrees = mode == traversal::automatic ||
+  const bool want_degrees = forced == traversal::automatic ||
                             opts.stats != nullptr || trace != nullptr;
   // A sparse frontier's degree prefix doubles as the blocked kernel's
   // layout — compute it once here whenever the sparse kernel might run,
   // instead of an out_degree_sum for the threshold plus a recomputation
   // inside the kernel.
   const bool sparse_possible =
-      mode == traversal::sparse || mode == traversal::automatic;
+      forced == traversal::sparse || forced == traversal::automatic;
   // An all-vertex frontier (PageRank's every round) has outdeg(U) = m and
   // needs no bitmap: the dense kernel skips the per-edge membership test.
   const bool all = frontier.size() == g.num_vertices() && !frontier.empty();
@@ -602,12 +618,8 @@ vertex_subset edge_map(const G& g, vertex_subset& frontier, F f,
   } else if (want_degrees) {
     out_degrees = frontier.out_degree_sum(g);
   }
-  if (mode == traversal::automatic) {
-    bool dense = frontier.size() + out_degrees > threshold;
-    mode = dense ? (opts.prefer_dense_forward ? traversal::dense_forward
-                                              : traversal::dense)
-                 : traversal::sparse;
-  }
+  const traversal mode =
+      resolve_traversal(opts, frontier.size(), out_degrees, g.num_edges());
   if (opts.stats != nullptr) {
     opts.stats->frontier_size = frontier.size();
     opts.stats->frontier_edges = out_degrees;

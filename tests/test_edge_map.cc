@@ -170,6 +170,39 @@ TEST(EdgeMap, PreferDenseForwardOption) {
   EXPECT_EQ(stats.used, traversal::dense_forward);
 }
 
+TEST(EdgeMap, ResolveTraversalMatchesChoiceMade) {
+  // resolve_traversal is the rule edge_map applies; callers that prepare
+  // kernel-specific state (PageRank) rely on the two never disagreeing.
+  auto g = gen::rmat_graph(10, 1 << 13, 4);
+  const vertex_id n = g.num_vertices();
+  std::vector<std::vector<vertex_id>> frontiers = {{0}, {}, {}};
+  for (vertex_id v = 0; v < n; v += 3) frontiers[1].push_back(v);
+  for (vertex_id v = 0; v < n; v++) frontiers[2].push_back(v);
+  for (traversal t : {traversal::automatic, traversal::sparse,
+                      traversal::dense, traversal::dense_forward}) {
+    for (bool forward : {false, true}) {
+      for (uint64_t denom : {uint64_t{1}, uint64_t{20}, uint64_t{1} << 20}) {
+        for (const auto& members : frontiers) {
+          std::vector<uint8_t> marked(n, 0);
+          vertex_subset u(n, std::vector<vertex_id>(members));
+          edge_map_stats stats;
+          edge_map_options opts;
+          opts.strategy = t;
+          opts.prefer_dense_forward = forward;
+          opts.threshold_denominator = denom;
+          opts.stats = &stats;
+          edge_map(g, u, mark_f{marked.data()}, opts);
+          EXPECT_EQ(resolve_traversal(opts, stats.frontier_size,
+                                      stats.frontier_edges, g.num_edges()),
+                    stats.used)
+              << traversal_name(t) << " forward=" << forward
+              << " denom=" << denom << " |U|=" << members.size();
+        }
+      }
+    }
+  }
+}
+
 TEST(EdgeMap, CondEarlyExitLimitsDenseUpdates) {
   // Star graph, all leaves in the frontier, target = center. With a cond
   // that flips false after the first update, the dense traversal must stop
